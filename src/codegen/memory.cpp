@@ -1,7 +1,10 @@
 #include "codegen/memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "ir/instructions.h"
 
@@ -24,12 +27,36 @@ trapKindName(TrapKind k)
     return "unknown";
 }
 
+namespace {
+
+/** Map \p len bytes of demand-zero memory: the kernel supplies a zero
+ *  page on first touch, so untouched pages cost neither time nor
+ *  RSS. */
+uint8_t *
+mapDemandZero(uint64_t len)
+{
+    void *p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return static_cast<uint8_t *>(p);
+}
+
+} // namespace
+
 Memory::Memory(uint64_t size)
-    : bytes_(size, 0), size_(size)
+    : size_(size),
+      dirty_(((size + kPageSize - 1) / kPageSize + 63) / 64, 0),
+      bytes_(mapDemandZero(size))
 {
     globalBrk_ = kCodeBase + kCodeSize;
     // Reserve the top 1/4 for stacks.
     stackLimit_ = size_ - size_ / 4;
+}
+
+Memory::~Memory()
+{
+    ::munmap(bytes_, size_);
 }
 
 bool
@@ -38,7 +65,7 @@ Memory::load(uint64_t addr, unsigned width, uint64_t &out)
     if (!check(addr, width))
         return false;
     uint64_t v = 0;
-    std::memcpy(&v, bytes_.data() + addr, width);
+    std::memcpy(&v, bytes_ + addr, width);
     out = v;
     return true;
 }
@@ -48,7 +75,8 @@ Memory::store(uint64_t addr, unsigned width, uint64_t value)
 {
     if (!check(addr, width))
         return false;
-    std::memcpy(bytes_.data() + addr, &value, width);
+    markDirty(addr, width);
+    std::memcpy(bytes_ + addr, &value, width);
     return true;
 }
 
@@ -59,10 +87,10 @@ Memory::loadFP(uint64_t addr, bool fp32, double &out)
         return false;
     if (fp32) {
         float f;
-        std::memcpy(&f, bytes_.data() + addr, 4);
+        std::memcpy(&f, bytes_ + addr, 4);
         out = f;
     } else {
-        std::memcpy(&out, bytes_.data() + addr, 8);
+        std::memcpy(&out, bytes_ + addr, 8);
     }
     return true;
 }
@@ -72,11 +100,12 @@ Memory::storeFP(uint64_t addr, bool fp32, double value)
 {
     if (!check(addr, fp32 ? 4 : 8))
         return false;
+    markDirty(addr, fp32 ? 4 : 8);
     if (fp32) {
         float f = static_cast<float>(value);
-        std::memcpy(bytes_.data() + addr, &f, 4);
+        std::memcpy(bytes_ + addr, &f, 4);
     } else {
-        std::memcpy(bytes_.data() + addr, &value, 8);
+        std::memcpy(bytes_ + addr, &value, 8);
     }
     return true;
 }
@@ -85,7 +114,10 @@ void
 Memory::writeRaw(uint64_t addr, const void *data, uint64_t n)
 {
     LLVA_ASSERT(addr + n <= size_, "writeRaw out of range");
-    std::memcpy(bytes_.data() + addr, data, n);
+    if (!n)
+        return;
+    markDirty(addr, n);
+    std::memcpy(bytes_ + addr, data, n);
 }
 
 std::string
@@ -175,31 +207,22 @@ Memory::functionAt(uint64_t addr) const
 void
 Memory::serialize(ByteWriter &w) const
 {
-    constexpr uint64_t kPage = 4096;
     w.writeU64(size_);
-    // Sparse image: only pages with live data. Typical checkpoints
-    // touch a few hundred KiB of a 64 MiB space.
-    uint64_t pages = 0;
-    for (uint64_t p = 0; p < size_; p += kPage) {
-        uint64_t n = std::min(kPage, size_ - p);
-        bool zero = true;
-        for (uint64_t i = 0; i < n && zero; ++i)
-            zero = bytes_[p + i] == 0;
-        if (!zero)
-            ++pages;
-    }
-    w.writeVaruint(pages);
-    for (uint64_t p = 0; p < size_; p += kPage) {
-        uint64_t n = std::min(kPage, size_ - p);
-        bool zero = true;
-        for (uint64_t i = 0; i < n && zero; ++i)
-            zero = bytes_[p + i] == 0;
-        if (zero)
-            continue;
+    // Sparse image: only non-zero pages, and only dirty pages can be
+    // non-zero, so the scan is O(touched pages) — typically a few
+    // hundred KiB of a 64 MiB space.
+    std::vector<uint64_t> live;
+    forEachDirtyPage([&](uint64_t p, uint64_t n) {
+        if (std::any_of(bytes_ + p, bytes_ + p + n,
+                        [](uint8_t b) { return b != 0; }))
+            live.push_back(p);
+    });
+    w.writeVaruint(live.size());
+    for (uint64_t p : live) {
+        uint64_t n = std::min(kPageSize, size_ - p);
         w.writeU64(p);
         w.writeVaruint(n);
-        for (uint64_t i = 0; i < n; ++i)
-            w.writeByte(bytes_[p + i]);
+        w.writeBytes(bytes_ + p, n);
     }
     w.writeU64(globalBrk_);
     w.writeU64(heapBase_);
@@ -228,15 +251,21 @@ Memory::restore(ByteReader &r, const Module &m)
     uint64_t size = r.readU64();
     if (size != size_)
         return false;
-    std::fill(bytes_.begin(), bytes_.end(), 0);
+    // Pages never written are still zero: clearing the dirty ones
+    // yields an all-zero image.
+    forEachDirtyPage(
+        [&](uint64_t p, uint64_t n) { std::memset(bytes_ + p, 0, n); });
+    std::fill(dirty_.begin(), dirty_.end(), 0);
     uint64_t pages = r.readVaruint();
     for (uint64_t i = 0; i < pages; ++i) {
         uint64_t p = r.readU64();
         uint64_t n = r.readVaruint();
-        if (p + n > size_)
+        if (p > size_ || n > size_ - p)
             return false;
-        for (uint64_t b = 0; b < n; ++b)
-            bytes_[p + b] = r.readByte();
+        if (!n)
+            continue;
+        markDirty(p, n);
+        r.readBytes(bytes_ + p, n);
     }
     globalBrk_ = r.readU64();
     heapBase_ = r.readU64();

@@ -8,11 +8,18 @@
  * Layout: a null guard page, a code stub region (function
  * "addresses" for indirect calls), the global data image, the heap,
  * and a downward-growing stack at the top.
+ *
+ * The image is one demand-zero anonymous mapping: the kernel supplies
+ * a zero page on first touch, so creating a Memory costs no more than
+ * the pages the program actually uses. A one-bit-per-4-KiB-page dirty
+ * bitmap records every page that may hold a non-zero byte; it bounds
+ * checkpoint serialize/restore to the touched pages.
  */
 
 #ifndef LLVA_CODEGEN_MEMORY_H
 #define LLVA_CODEGEN_MEMORY_H
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -42,6 +49,10 @@ class Memory
 {
   public:
     explicit Memory(uint64_t size = 64ull << 20);
+    ~Memory();
+
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
 
     uint64_t size() const { return size_; }
 
@@ -57,7 +68,6 @@ class Memory
 
     // --- Unchecked raw access (for loaders/runtime) ---------------------
 
-    uint8_t *raw() { return bytes_.data(); }
     void writeRaw(uint64_t addr, const void *data, uint64_t n);
     std::string readCString(uint64_t addr, uint64_t max = 1 << 20);
 
@@ -85,10 +95,10 @@ class Memory
 
     /**
      * Serialize the memory image and allocator state. The byte
-     * image is written sparsely (only non-zero 4 KiB pages), and
-     * function addresses by function name — heap pointers stored in
-     * memory stay valid because the restored image reproduces the
-     * exact same address space.
+     * image is written sparsely (only non-zero 4 KiB pages, found
+     * among the dirty ones), and function addresses by function
+     * name — heap pointers stored in memory stay valid because the
+     * restored image reproduces the exact same address space.
      */
     void serialize(ByteWriter &w) const;
 
@@ -112,12 +122,42 @@ class Memory
         return true;
     }
 
+    /** Record that the \p n > 0 bytes at \p addr may now be
+     *  non-zero. Every writer calls this before writing. */
+    void
+    markDirty(uint64_t addr, uint64_t n)
+    {
+        uint64_t last = (addr + n - 1) >> kPageShift;
+        for (uint64_t page = addr >> kPageShift; page <= last; ++page)
+            dirty_[page >> 6] |= 1ull << (page & 63);
+    }
+
+    /** Call \p fn(addr, len) for each dirty page in address order
+     *  (len is short only for a partial last page). */
+    template <typename Fn>
+    void
+    forEachDirtyPage(Fn fn) const
+    {
+        for (size_t w = 0; w < dirty_.size(); ++w) {
+            for (uint64_t bits = dirty_[w]; bits; bits &= bits - 1) {
+                uint64_t p = (w * 64 + __builtin_ctzll(bits))
+                             << kPageShift;
+                fn(p, std::min(kPageSize, size_ - p));
+            }
+        }
+    }
+
+    static constexpr unsigned kPageShift = 12;
+    static constexpr uint64_t kPageSize = 1ull << kPageShift;
     static constexpr uint64_t kGuardSize = 4096;
     static constexpr uint64_t kCodeBase = 4096;
     static constexpr uint64_t kCodeSize = 1 << 16;
 
-    std::vector<uint8_t> bytes_;
     uint64_t size_;
+    std::vector<uint64_t> dirty_; ///< one bit per page
+    // The mapping is initialized after every member that can throw,
+    // so a failed construction never leaks it.
+    uint8_t *bytes_;
     uint64_t globalBrk_;
     uint64_t heapBase_ = 0;
     uint64_t heapBrk_ = 0;

@@ -34,7 +34,8 @@ eliminatePhis(MachineFunction &mf, CodeGenStats *stats)
         for (size_t p = 0; p < phi_count; ++p) {
             MachineInstr *phi = instrs[p].get();
             unsigned dest = phi->ops[0].reg;
-            const VRegInfo &info = mf.vregInfo(dest);
+            // A copy, not a reference: createVReg may grow the table.
+            const VRegInfo info = mf.vregInfo(dest);
             unsigned tmp = mf.createVReg(info.regClass, info.fp32);
 
             // Insert tmp <- incoming before each predecessor's

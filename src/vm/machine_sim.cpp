@@ -340,9 +340,6 @@ MachineSimulator::runInternal(const Function *f,
         return false;
     };
 
-    uint64_t start_count = executed_;
-    (void)start_count;
-
     while (true) {
         // Cooperative pause point: every dispatch boundary of the
         // unchained engines, plus every block transition of the

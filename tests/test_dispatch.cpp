@@ -195,12 +195,18 @@ TEST(Chaining, TraceTierBodyChainsAndUnlinksOnInvalidate)
     EXPECT_GT(chain->linkCount(), 0u);
     EXPECT_FALSE(chain->unlinked());
 
-    // SMC invalidation severs every patched link, permanently.
+    // SMC invalidation severs every patched link, permanently. Hold
+    // an epoch pin, as an executing simulator would: without one the
+    // retired chain is reclaimed inside invalidate(), and reading it
+    // below would be a use after free.
+    uint64_t pin = cm.pinEpoch();
     cm.invalidate(work);
     EXPECT_TRUE(chain->unlinked());
     EXPECT_EQ(chain->linkCount(), 0u);
     EXPECT_EQ(cm.chainsUnlinked(), 1u);
     EXPECT_EQ(cm.chainedFunctions(), 0u);
+    cm.unpinEpoch(pin);
+    EXPECT_EQ(cm.retiredChainCount(), 0u);
 }
 
 TEST(Chaining, SmcReplaceUnlinksTheRetiredChain)

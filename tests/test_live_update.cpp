@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "parser/parser.h"
@@ -208,9 +209,18 @@ TEST(LiveUpdate, ConcurrentReplaceWhileExecuting)
             if (cm.replaceFunctionLive(work))
                 replacements.fetch_add(1,
                                        std::memory_order_relaxed);
-            std::this_thread::yield();
+            // Pause between replacements: each one holds the
+            // CodeManager lock exclusively, and a back-to-back loop
+            // can starve the executor of it indefinitely.
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
     });
+
+    // Handshake: main() can finish in a few milliseconds, so start
+    // it only once the chaos thread has landed its first
+    // replacement; the thread keeps replacing throughout the run.
+    while (replacements.load(std::memory_order_relaxed) == 0)
+        std::this_thread::yield();
 
     auto r = sim.run(m->getFunction("main"));
     done.store(true, std::memory_order_relaxed);
