@@ -2,14 +2,16 @@
  * @file
  * Execution throughput: instructions per second of the simulated
  * processor under the two dispatch engines — the legacy per-
- * instruction switch (state reset + virtual execute + opcode
- * switch, names rehashed on every profile event) and the direct-
- * threaded engine (cached handler pointers, chained trace-tier
- * superblocks, translation-time block IDs). Every configuration
- * runs warm: an adaptive first pass promotes the hot functions to
- * -O2+traces, then the timed runs execute from the same code cache
- * with profiling left on — the whole point of making profiling
- * cheap is never switching it off.
+ * instruction switch (state reset + virtual execute into the
+ * generic handlers, names rehashed on every profile event) and the
+ * direct-threaded engine (cached operand-specialized handler
+ * pointers, chained trace-tier superblocks, translation-time block
+ * IDs). Every configuration runs warm: an adaptive first pass
+ * promotes the hot functions to -O2+traces, then the timed runs
+ * execute from the same code cache with profiling left on — the
+ * whole point of making profiling cheap is never switching it off.
+ * Every column reports the median and the min/max IPS over repeated
+ * timed trials.
  *
  * The reference interpreter (itself computed-goto threaded) is
  * timed alongside for scale. Results land in BENCH_throughput.json
@@ -17,6 +19,8 @@
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "bench_common.h"
 #include "llee/llee.h"
@@ -36,18 +40,55 @@ adaptiveOpts()
     return opts;
 }
 
+/** Min, median and max of per-trial IPS. */
+struct Spread
+{
+    double min = 0, median = 0, max = 0;
+};
+
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    size_t n = v.size();
+    double median = n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+    return {v.front(), median, v.back()};
+}
+
 struct Measured
 {
-    double ips = 0;        ///< instructions / second
+    Spread ips;            ///< instructions / second, per trial
     uint64_t value = 0;    ///< program checksum (divergence check)
     std::string output;    ///< captured output (divergence check)
     size_t promotions = 0;
     size_t chained = 0;    ///< chained functions after the runs
 };
 
-/** Keep timing until both floors are met. */
-constexpr double kMinSeconds = 0.2;
-constexpr int kMinRuns = 3;
+/** Each trial times warm runs of the program until it has
+ *  kTrialSeconds of them (single runs take a few ms, too short to
+ *  time alone on a shared host); every column reports the spread
+ *  over kTrials trials. */
+constexpr double kTrialSeconds = 0.05;
+constexpr int kTrials = 5;
+
+/** IPS of kTrials trials of \p runOnce, which returns (instructions
+ *  executed, seconds timed) for one run. */
+template <typename Run>
+Spread
+timeTrials(Run runOnce)
+{
+    std::vector<double> ips;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        double instrs = 0, secs = 0;
+        while (secs < kTrialSeconds) {
+            auto [n, s] = runOnce();
+            instrs += double(n);
+            secs += s;
+        }
+        ips.push_back(instrs / secs);
+    }
+    return spreadOf(std::move(ips));
+}
 
 Measured
 measureSim(Module &m, Target &target,
@@ -72,11 +113,9 @@ measureSim(Module &m, Target &target,
         out.value = r.value.i;
         out.output = ctx.output();
     }
-    // Timed passes from the warm cache, profiling still on.
-    uint64_t instrs = 0;
-    double secs = 0;
-    for (int runs = 0; runs < kMinRuns || secs < kMinSeconds;
-         ++runs) {
+    // Timed trials from the warm cache, profiling still on. Context
+    // setup stays outside the timer.
+    out.ips = timeTrials([&] {
         ExecutionContext ctx(m);
         MachineSimulator sim(ctx, cm);
         sim.setDispatch(dispatch);
@@ -84,12 +123,11 @@ measureSim(Module &m, Target &target,
         sim.setProfileSampleInterval(sampleInterval);
         Timer t;
         auto r = sim.run(m.getFunction("main"));
-        secs += t.seconds();
-        instrs += sim.instructionsExecuted();
+        double secs = t.seconds();
         if (!r.ok() || r.value.i != out.value)
             fatal("throughput divergence across runs");
-    }
-    out.ips = secs > 0 ? instrs / secs : 0;
+        return std::pair{sim.instructionsExecuted(), secs};
+    });
     out.promotions = cm.promotions();
     out.chained = cm.chainedFunctions();
     return out;
@@ -99,22 +137,18 @@ Measured
 measureInterp(Module &m)
 {
     Measured out;
-    uint64_t instrs = 0;
-    double secs = 0;
-    for (int runs = 0; runs < kMinRuns || secs < kMinSeconds;
-         ++runs) {
+    out.ips = timeTrials([&] {
         ExecutionContext ctx(m);
         Interpreter interp(ctx);
         Timer t;
         auto r = interp.run(m.getFunction("main"));
-        secs += t.seconds();
-        instrs += r.instructionsExecuted;
+        double secs = t.seconds();
         if (!r.ok())
             fatal("interpreter trapped in throughput bench");
         out.value = r.value.i;
         out.output = ctx.output();
-    }
-    out.ips = secs > 0 ? instrs / secs : 0;
+        return std::pair{r.instructionsExecuted, secs};
+    });
     return out;
 }
 
@@ -127,9 +161,9 @@ main(int argc, char **argv)
                 "threaded + chained superblocks (warm -O2+traces, "
                 "profiling on)\n");
     hr('=');
-    std::printf("%-18s %11s %11s %11s %11s %8s %7s\n", "Program",
+    std::printf("%-18s %11s %11s %11s %11s %8s %13s %7s\n", "Program",
                 "interp(M/s)", "switch(M/s)", "thread(M/s)",
-                "+smpl(M/s)", "speedup", "chains");
+                "+smpl(M/s)", "speedup", "range", "chains");
     hr();
 
     // The full new engine samples its always-on profile (every Nth
@@ -154,21 +188,32 @@ main(int argc, char **argv)
             ts.value != th.value || ts.output != th.output)
             fatal("dispatch divergence in %s", info.name.c_str());
 
-        double speedupExact = sw.ips > 0 ? th.ips / sw.ips : 0;
-        double speedup = sw.ips > 0 ? ts.ips / sw.ips : 0;
+        // Speedups compare medians; the range pairs the slowest
+        // +smpl trial with the fastest switch trial and vice versa.
+        double speedupExact = th.ips.median / sw.ips.median;
+        double speedup = ts.ips.median / sw.ips.median;
+        double speedupLo = ts.ips.min / sw.ips.max;
+        double speedupHi = ts.ips.max / sw.ips.min;
         std::printf("%-18s %11.2f %11.2f %11.2f %11.2f %7.2fx "
-                    "%7zu\n",
-                    info.name.c_str(), in.ips / 1e6, sw.ips / 1e6,
-                    th.ips / 1e6, ts.ips / 1e6, speedup,
-                    ts.chained);
-        report.beginRow()
-            .field("program", info.name)
-            .field("interp_ips", in.ips)
-            .field("switch_ips", sw.ips)
-            .field("threaded_ips", th.ips)
-            .field("threaded_sampled_ips", ts.ips)
-            .field("speedup_exact_profile", speedupExact)
+                    "%5.2f-%5.2fx %7zu\n",
+                    info.name.c_str(), in.ips.median / 1e6,
+                    sw.ips.median / 1e6, th.ips.median / 1e6,
+                    ts.ips.median / 1e6, speedup, speedupLo,
+                    speedupHi, ts.chained);
+        report.beginRow().field("program", info.name);
+        for (auto [col, ms] : {std::pair{"interp", &in},
+                               std::pair{"switch", &sw},
+                               std::pair{"threaded", &th},
+                               std::pair{"threaded_sampled", &ts}}) {
+            std::string key = std::string(col) + "_ips";
+            report.field(key, ms->ips.median)
+                .field(key + "_min", ms->ips.min)
+                .field(key + "_max", ms->ips.max);
+        }
+        report.field("speedup_exact_profile", speedupExact)
             .field("speedup", speedup)
+            .field("speedup_min", speedupLo)
+            .field("speedup_max", speedupHi)
             .field("promotions", double(ts.promotions))
             .field("chained_functions", double(ts.chained));
     }
@@ -177,10 +222,15 @@ main(int argc, char **argv)
     std::printf("IPS = simulated machine instructions per wall-"
                 "clock second, timed warm (translations cached, "
                 "hot functions already at -O2+traces), profiling "
-                "on. switch = legacy engine (exact counts, "
+                "on; each figure is the median of %d trials of "
+                ">= %.2f s (JSON: *_ips median, *_min/*_max). switch = legacy "
+                "engine on the generic handlers (exact counts, "
                 "rehashed IDs); thread = direct-threaded + chained "
-                "superblocks, exact counts; +smpl adds 1-in-%llu "
-                "sampled counters. speedup = +smpl/switch.\n",
+                "superblocks with operand-specialized handlers, "
+                "exact counts; +smpl adds 1-in-%llu sampled "
+                "counters. speedup = +smpl/switch medians; range = "
+                "min/max trial pairing.\n",
+                kTrials, kTrialSeconds,
                 (unsigned long long)kSampleInterval);
 
     benchmark::Initialize(&argc, argv);

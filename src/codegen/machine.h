@@ -158,7 +158,7 @@ struct MachineInstr
     /** Lazily resolved dispatch handler (owned by the executing
      *  target; never serialized). Atomic because concurrent
      *  simulators may resolve the same instruction: handlerFor()
-     *  is deterministic per opcode, so racing stores write the
+     *  is deterministic per instruction, so racing stores write the
      *  same value and relaxed ordering suffices. */
     mutable std::atomic<ExecFn> exec{nullptr};
 

@@ -59,57 +59,6 @@ Memory::~Memory()
     ::munmap(bytes_, size_);
 }
 
-bool
-Memory::load(uint64_t addr, unsigned width, uint64_t &out)
-{
-    if (!check(addr, width))
-        return false;
-    uint64_t v = 0;
-    std::memcpy(&v, bytes_ + addr, width);
-    out = v;
-    return true;
-}
-
-bool
-Memory::store(uint64_t addr, unsigned width, uint64_t value)
-{
-    if (!check(addr, width))
-        return false;
-    markDirty(addr, width);
-    std::memcpy(bytes_ + addr, &value, width);
-    return true;
-}
-
-bool
-Memory::loadFP(uint64_t addr, bool fp32, double &out)
-{
-    if (!check(addr, fp32 ? 4 : 8))
-        return false;
-    if (fp32) {
-        float f;
-        std::memcpy(&f, bytes_ + addr, 4);
-        out = f;
-    } else {
-        std::memcpy(&out, bytes_ + addr, 8);
-    }
-    return true;
-}
-
-bool
-Memory::storeFP(uint64_t addr, bool fp32, double value)
-{
-    if (!check(addr, fp32 ? 4 : 8))
-        return false;
-    markDirty(addr, fp32 ? 4 : 8);
-    if (fp32) {
-        float f = static_cast<float>(value);
-        std::memcpy(bytes_ + addr, &f, 4);
-    } else {
-        std::memcpy(bytes_ + addr, &value, 8);
-    }
-    return true;
-}
-
 void
 Memory::writeRaw(uint64_t addr, const void *data, uint64_t n)
 {
@@ -153,10 +102,14 @@ Memory::malloc(uint64_t size)
         size = 1;
     size = (size + 15) / 16 * 16;
 
-    // First fit over the free list.
-    for (auto &[addr, blk] : heapBlocks_) {
-        if (blk.free && blk.size >= size) {
+    // First fit over the free blocks, in address order.
+    for (auto it = freeBlocks_.begin(); it != freeBlocks_.end();
+         ++it) {
+        uint64_t addr = *it;
+        HeapBlock &blk = heapBlocks_.at(addr);
+        if (blk.size >= size) {
             blk.free = false;
+            freeBlocks_.erase(it);
             heapAllocated_ += size;
             return addr;
         }
@@ -180,8 +133,10 @@ Memory::free(uint64_t addr)
     if (addr == 0)
         return;
     auto it = heapBlocks_.find(addr);
-    if (it != heapBlocks_.end())
+    if (it != heapBlocks_.end()) {
         it->second.free = true;
+        freeBlocks_.insert(addr);
+    }
 }
 
 uint64_t
@@ -273,6 +228,7 @@ Memory::restore(ByteReader &r, const Module &m)
     stackLimit_ = r.readU64();
     heapAllocated_ = r.readU64();
     heapBlocks_.clear();
+    freeBlocks_.clear();
     uint64_t nBlocks = r.readVaruint();
     for (uint64_t i = 0; i < nBlocks; ++i) {
         uint64_t addr = r.readU64();
@@ -281,6 +237,9 @@ Memory::restore(ByteReader &r, const Module &m)
         blk.free = r.readByte() != 0;
         heapBlocks_[addr] = blk;
     }
+    for (const auto &[addr, blk] : heapBlocks_)
+        if (blk.free)
+            freeBlocks_.insert(addr);
     funcAddrs_.clear();
     addrFuncs_.clear();
     uint64_t nFuncs = r.readVaruint();

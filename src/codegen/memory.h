@@ -21,7 +21,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -58,10 +60,58 @@ class Memory
 
     // --- Checked access (sets trap on failure) -------------------------
 
-    bool load(uint64_t addr, unsigned width, uint64_t &out);
-    bool store(uint64_t addr, unsigned width, uint64_t value);
-    bool loadFP(uint64_t addr, bool fp32, double &out);
-    bool storeFP(uint64_t addr, bool fp32, double value);
+    // Defined inline: every simulated load, store, spill and reload
+    // lands here, so the 1/2/4/8-byte copies must fold into the
+    // caller.
+
+    bool
+    load(uint64_t addr, unsigned width, uint64_t &out)
+    {
+        if (!check(addr, width))
+            return false;
+        out = readInt(bytes_ + addr, width);
+        return true;
+    }
+
+    bool
+    store(uint64_t addr, unsigned width, uint64_t value)
+    {
+        if (!check(addr, width))
+            return false;
+        markDirtySmall(addr, width);
+        writeInt(bytes_ + addr, width, value);
+        return true;
+    }
+
+    bool
+    loadFP(uint64_t addr, bool fp32, double &out)
+    {
+        if (!check(addr, fp32 ? 4 : 8))
+            return false;
+        if (fp32) {
+            float f;
+            std::memcpy(&f, bytes_ + addr, 4);
+            out = f;
+        } else {
+            std::memcpy(&out, bytes_ + addr, 8);
+        }
+        return true;
+    }
+
+    bool
+    storeFP(uint64_t addr, bool fp32, double value)
+    {
+        if (!check(addr, fp32 ? 4 : 8))
+            return false;
+        markDirtySmall(addr, fp32 ? 4 : 8);
+        if (fp32) {
+            float f = static_cast<float>(value);
+            std::memcpy(bytes_ + addr, &f, 4);
+        } else {
+            std::memcpy(bytes_ + addr, &value, 8);
+        }
+        return true;
+    }
 
     TrapKind lastTrap() const { return trap_; }
     void clearTrap() { trap_ = TrapKind::None; }
@@ -115,11 +165,51 @@ class Memory
             trap_ = TrapKind::NullAccess;
             return false;
         }
-        if (addr + width > size_) {
+        // Written so that no sum can wrap: a guest pointer near 2^64
+        // must fail here, not index past the mapping.
+        if (width > size_ || addr > size_ - width) {
             trap_ = TrapKind::OutOfBounds;
             return false;
         }
         return true;
+    }
+
+    /** Little-endian integer of \p width bytes (host order, like
+     *  the image). The fixed widths compile to one move each. */
+    static uint64_t
+    readInt(const uint8_t *p, unsigned width)
+    {
+        switch (width) {
+          case 1: return *p;
+          case 2: { uint16_t v; std::memcpy(&v, p, 2); return v; }
+          case 4: { uint32_t v; std::memcpy(&v, p, 4); return v; }
+          case 8: { uint64_t v; std::memcpy(&v, p, 8); return v; }
+          default: {
+            uint64_t v = 0;
+            std::memcpy(&v, p, width);
+            return v;
+          }
+        }
+    }
+
+    static void
+    writeInt(uint8_t *p, unsigned width, uint64_t value)
+    {
+        switch (width) {
+          case 1: *p = static_cast<uint8_t>(value); break;
+          case 2: {
+            auto v = static_cast<uint16_t>(value);
+            std::memcpy(p, &v, 2);
+            break;
+          }
+          case 4: {
+            auto v = static_cast<uint32_t>(value);
+            std::memcpy(p, &v, 4);
+            break;
+          }
+          case 8: std::memcpy(p, &value, 8); break;
+          default: std::memcpy(p, &value, width); break;
+        }
     }
 
     /** Record that the \p n > 0 bytes at \p addr may now be
@@ -130,6 +220,19 @@ class Memory
         uint64_t last = (addr + n - 1) >> kPageShift;
         for (uint64_t page = addr >> kPageShift; page <= last; ++page)
             dirty_[page >> 6] |= 1ull << (page & 63);
+    }
+
+    /** markDirty for an access of at most one page (every checked
+     *  access): it touches one page or two, so mark both ends. */
+    void
+    markDirtySmall(uint64_t addr, unsigned n)
+    {
+        if (!n) // nothing written; addr may be size_
+            return;
+        uint64_t first = addr >> kPageShift;
+        uint64_t last = (addr + n - 1) >> kPageShift;
+        dirty_[first >> 6] |= 1ull << (first & 63);
+        dirty_[last >> 6] |= 1ull << (last & 63);
     }
 
     /** Call \p fn(addr, len) for each dirty page in address order
@@ -171,6 +274,9 @@ class Memory
         bool free;
     };
     std::map<uint64_t, HeapBlock> heapBlocks_; // addr -> block
+    /** Addresses of the free blocks in heapBlocks_: first fit scans
+     *  only these. Derived state, rebuilt on restore. */
+    std::set<uint64_t> freeBlocks_;
 
     std::map<const Function *, uint64_t> funcAddrs_;
     std::map<uint64_t, const Function *> addrFuncs_;

@@ -173,7 +173,9 @@ class Target
     /**
      * The direct-threaded dispatch handler for \p mi: a free
      * function implementing exactly what execute() would do for
-     * this opcode. Handlers assume the driver set state.next =
+     * this instruction. It may be specialized to \p mi's operand
+     * kinds and width, so it is chosen per instruction, not per
+     * opcode. Handlers assume the driver set state.next =
      * Fall before the call (no full reset()): every consumer field
      * (branchTarget, callTarget/callAddr, trapKind) is written by
      * the handler that requests the corresponding Next value, so

@@ -181,19 +181,22 @@ class ByteReader
     int64_t
     readVarint()
     {
-        int64_t v = 0;
+        // Accumulate and sign-fill in uint64_t: shifting into or
+        // negating at the sign bit of an int64_t is undefined.
+        uint64_t v = 0;
         int shift = 0;
         uint8_t b;
         do {
             b = readByte();
-            v |= static_cast<int64_t>(b & 0x7f) << shift;
+            if (shift < 64)
+                v |= static_cast<uint64_t>(b & 0x7f) << shift;
             shift += 7;
             if (shift > 70)
                 fatal("malformed varint");
         } while (b & 0x80);
         if (shift < 64 && (b & 0x40))
-            v |= -(static_cast<int64_t>(1) << shift);
-        return v;
+            v |= ~uint64_t(0) << shift;
+        return static_cast<int64_t>(v);
     }
 
     double
@@ -219,7 +222,8 @@ class ByteReader
     readBytes(uint8_t *out, size_t n)
     {
         need(n);
-        std::memcpy(out, data_ + pos_, n);
+        if (n) // an empty reader's data_ may be null
+            std::memcpy(out, data_ + pos_, n);
         pos_ += n;
     }
 
@@ -227,7 +231,7 @@ class ByteReader
     void
     need(size_t n)
     {
-        if (pos_ + n > size_)
+        if (n > size_ - pos_) // pos_ + n could wrap
             fatal("object file truncated (need %zu bytes at %zu/%zu)",
                   n, pos_, size_);
     }

@@ -222,6 +222,118 @@ hSpAdj(const MachineInstr &mi, SimState &state)
     state.sp += static_cast<uint64_t>(mi.ops[0].imm);
 }
 
+// --- Operand-specialized handlers ----------------------------------------
+//
+// The hottest instruction shapes with their operand kinds, width and
+// (for ALU ops and setcc) operation fixed at handler-selection time,
+// so the handler neither re-decodes mi.ops nor switches on an
+// operation, operand kind or access width. Each computes exactly
+// what the generic handler it replaces computes for that shape;
+// execute() (the switch engine) keeps the generic handlers, so the
+// threaded-vs-switch differential checks one against the other.
+
+/** Value of a Reg (B == Reg) or Imm integer operand. */
+template <MOperand::Kind B>
+inline uint64_t
+intOperand(const MOperand &op, const SimState &state)
+{
+    return B == MOperand::Imm ? static_cast<uint64_t>(op.imm)
+                              : state.ireg[op.reg];
+}
+
+/** Integer copy from a register or an immediate. */
+template <MOperand::Kind B>
+inline void
+hCopyInt(const MachineInstr &mi, SimState &state)
+{
+    state.ireg[mi.ops[0].reg] = intOperand<B>(mi.ops[1], state);
+}
+
+/** Integer register to its 8-byte stack slot (spill, callee save). */
+inline void
+hSlotStoreInt(const MachineInstr &mi, SimState &state)
+{
+    uint64_t addr = state.sp + static_cast<uint64_t>(mi.ops[1].imm);
+    if (!state.mem->store(addr, 8, state.ireg[mi.ops[0].reg]))
+        state.mem->clearTrap();
+}
+
+/** Integer register from its 8-byte stack slot (reload, restore). */
+inline void
+hSlotLoadInt(const MachineInstr &mi, SimState &state)
+{
+    uint64_t addr = state.sp + static_cast<uint64_t>(mi.ops[1].imm);
+    uint64_t v = 0;
+    if (!state.mem->load(addr, 8, v))
+        state.mem->clearTrap();
+    state.ireg[mi.ops[0].reg] = v;
+}
+
+/** 64-bit integer ALU. Only ops that cannot trap and whose result
+ *  needs no width or sign normalization at 64 bits are
+ *  instantiated (see common_target.cpp). */
+template <tgt::Alu Op, MOperand::Kind B>
+inline void
+hAlu64(const MachineInstr &mi, SimState &state)
+{
+    state.ireg[mi.ops[0].reg] =
+        tgt::evalAlu(Op, state.ireg[mi.ops[1].reg],
+                     intOperand<B>(mi.ops[2], state), 8, false, false,
+                     state);
+}
+
+/** 64-bit integer load: [def dst, use addr]. */
+inline void
+hLoad64(const MachineInstr &mi, SimState &state)
+{
+    uint64_t v = 0;
+    if (!state.mem->load(state.ireg[mi.ops[1].reg], 8, v) &&
+        tgt::failAccess(mi, state))
+        return;
+    state.ireg[mi.ops[0].reg] = v;
+}
+
+/** 64-bit integer store: [use src, use addr]. */
+inline void
+hStore64(const MachineInstr &mi, SimState &state)
+{
+    if (!state.mem->store(state.ireg[mi.ops[1].reg], 8,
+                          state.ireg[mi.ops[0].reg]))
+        tgt::failAccess(mi, state);
+}
+
+/** 64-bit flags-style integer compare: [use a, use b]. */
+template <MOperand::Kind B>
+inline void
+hCmpFlags64(const MachineInstr &mi, SimState &state)
+{
+    tgt::recordCmp(state.ireg[mi.ops[0].reg],
+                   intOperand<B>(mi.ops[1], state), 8, state);
+}
+
+/** Flags-style setcc with its condition and signedness fixed. */
+template <tgt::Cond C, bool Sign>
+inline void
+hSetCCFlagsOf(const MachineInstr &mi, SimState &state)
+{
+    state.ireg[mi.ops[0].reg] =
+        tgt::evalCondState(C, Sign, state) ? 1 : 0;
+}
+
+/** 64-bit integer compare-into-register setcc with its condition
+ *  and signedness fixed: [def dst, use a, use b]. */
+template <tgt::Cond C, bool Sign, MOperand::Kind B>
+inline void
+hSetCCCompare64(const MachineInstr &mi, SimState &state)
+{
+    uint64_t a = state.ireg[mi.ops[1].reg];
+    uint64_t b = intOperand<B>(mi.ops[2], state);
+    bool r = Sign ? tgt::evalCond<int64_t>(C, static_cast<int64_t>(a),
+                                           static_cast<int64_t>(b))
+                  : tgt::evalCond<uint64_t>(C, a, b);
+    state.ireg[mi.ops[0].reg] = r ? 1 : 0;
+}
+
 } // namespace cmn
 } // namespace llva
 

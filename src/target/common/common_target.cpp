@@ -1,11 +1,136 @@
 #include "target/common/common_target.h"
 
+#include <type_traits>
+
 #include "support/error.h"
 #include "target/common/common_exec.h"
 #include "target/target_util.h"
 
 namespace llva {
 namespace cmn {
+
+namespace {
+
+template <tgt::Cond C>
+using CondC = std::integral_constant<tgt::Cond, C>;
+template <MOperand::Kind K>
+using KindC = std::integral_constant<MOperand::Kind, K>;
+
+/** \p make(CondC<c>{}): instantiates a condition-templated handler
+ *  for a run-time condition \p c. */
+template <typename Make>
+ExecFn
+byCond(tgt::Cond c, Make make)
+{
+    using tgt::Cond;
+    switch (c) {
+      case Cond::Eq: return make(CondC<Cond::Eq>{});
+      case Cond::Ne: return make(CondC<Cond::Ne>{});
+      case Cond::Lt: return make(CondC<Cond::Lt>{});
+      case Cond::Gt: return make(CondC<Cond::Gt>{});
+      case Cond::Le: return make(CondC<Cond::Le>{});
+      case Cond::Ge: return make(CondC<Cond::Ge>{});
+    }
+    return nullptr;
+}
+
+template <bool Sign>
+ExecFn
+setccFlagsFor(tgt::Cond c)
+{
+    return byCond(c, [](auto C) -> ExecFn {
+        return hSetCCFlagsOf<decltype(C)::value, Sign>;
+    });
+}
+
+template <bool Sign, MOperand::Kind B>
+ExecFn
+setccCompare64For(tgt::Cond c)
+{
+    return byCond(c, [](auto C) -> ExecFn {
+        return hSetCCCompare64<decltype(C)::value, Sign, B>;
+    });
+}
+
+template <MOperand::Kind B>
+ExecFn
+alu64For(tgt::Alu op)
+{
+    using tgt::Alu;
+    switch (op) {
+      case Alu::Add: return hAlu64<Alu::Add, B>;
+      case Alu::Sub: return hAlu64<Alu::Sub, B>;
+      case Alu::Mul: return hAlu64<Alu::Mul, B>;
+      case Alu::And: return hAlu64<Alu::And, B>;
+      case Alu::Or: return hAlu64<Alu::Or, B>;
+      case Alu::Xor: return hAlu64<Alu::Xor, B>;
+      case Alu::Shl: return hAlu64<Alu::Shl, B>;
+      default: return nullptr; // div, rem, shr: sign- or trap-dependent
+    }
+}
+
+/** \p pick(KindC<k>{}) for the kind k of an integer operand \p op,
+ *  or nullptr unless it is a Reg or an Imm. */
+template <typename Pick>
+ExecFn
+byIntKind(const MOperand &op, Pick pick)
+{
+    if (op.kind == MOperand::Reg)
+        return pick(KindC<MOperand::Reg>{});
+    if (op.kind == MOperand::Imm)
+        return pick(KindC<MOperand::Imm>{});
+    return nullptr;
+}
+
+/**
+ * The operand-specialized form of \p mi, whose table handler is \p
+ * generic, or nullptr when its shape has none. Keyed on the generic
+ * handler rather than the opcode, so a target that registers its own
+ * handler for a row is never specialized behind its back.
+ */
+ExecFn
+specializedHandler(const MachineInstr &mi, ExecFn generic)
+{
+    using tgt::isFPReg;
+    // ops[] is only read once the row is known to have them.
+    if (generic == tgt::hdlCopy && !isFPReg(mi.ops[0].reg))
+        return byIntKind(mi.ops[1], [](auto B) -> ExecFn {
+            return hCopyInt<decltype(B)::value>;
+        });
+    if ((generic == tgt::hdlSpill || generic == hStoreStack) &&
+        !isFPReg(mi.ops[0].reg))
+        return hSlotStoreInt;
+    if ((generic == tgt::hdlReload || generic == hLoadStack) &&
+        !isFPReg(mi.ops[0].reg))
+        return hSlotLoadInt;
+    if (generic == hSetCCFlags)
+        return mi.signExt ? setccFlagsFor<true>(condOf(mi.opcode))
+                          : setccFlagsFor<false>(condOf(mi.opcode));
+    if (mi.width != 8)
+        return nullptr;
+    if (generic == hAlu)
+        return byIntKind(mi.ops[2], [&](auto B) {
+            return alu64For<decltype(B)::value>(aluOfInt(mi.opcode));
+        });
+    if (generic == hCmpFlags)
+        return byIntKind(mi.ops[1], [](auto B) -> ExecFn {
+            return hCmpFlags64<decltype(B)::value>;
+        });
+    if (generic == hSetCCCompare && !isFPReg(mi.ops[1].reg))
+        return byIntKind(mi.ops[2], [&](auto B) {
+            constexpr MOperand::Kind K = decltype(B)::value;
+            tgt::Cond c = condOf(mi.opcode);
+            return mi.signExt ? setccCompare64For<true, K>(c)
+                              : setccCompare64For<false, K>(c);
+        });
+    if (generic == hLoad && !isFPReg(mi.ops[0].reg))
+        return hLoad64;
+    if (generic == hStore && !isFPReg(mi.ops[0].reg))
+        return hStore64;
+    return nullptr;
+}
+
+} // namespace
 
 CommonTarget::CommonTarget(uint16_t opcode_base, const AbiDesc &abi,
                            unsigned fixed_instr_bytes)
@@ -101,17 +226,25 @@ CommonTarget::desc(uint16_t opcode) const
 }
 
 ExecFn
-CommonTarget::handlerFor(const MachineInstr &mi) const
+CommonTarget::genericHandlerFor(const MachineInstr &mi) const
 {
     if (ExecFn fn = tgt::genericHandler(mi.opcode))
         return fn;
     return desc(mi.opcode).exec;
 }
 
+ExecFn
+CommonTarget::handlerFor(const MachineInstr &mi) const
+{
+    ExecFn generic = genericHandlerFor(mi);
+    ExecFn fn = specializedHandler(mi, generic);
+    return fn ? fn : generic;
+}
+
 void
 CommonTarget::execute(const MachineInstr &mi, SimState &state) const
 {
-    handlerFor(mi)(mi, state);
+    genericHandlerFor(mi)(mi, state);
 }
 
 std::vector<uint8_t>

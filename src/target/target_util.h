@@ -239,6 +239,22 @@ operandFPValue(const MOperand &op, SimState &state)
 // --- Memory ----------------------------------------------------------------
 
 /**
+ * After a failed typed access: take the memory's trap and deliver it
+ * if \p mi has traps enabled. Returns true if it trapped; otherwise
+ * the access is dropped (a load then reads zero, matching the
+ * interpreter).
+ */
+inline bool
+failAccess(const MachineInstr &mi, SimState &state)
+{
+    TrapKind k = state.mem->lastTrap();
+    state.mem->clearTrap();
+    if (mi.trapEnabled)
+        state.trap(k);
+    return mi.trapEnabled;
+}
+
+/**
  * Execute a typed load into ops[0]: normalize integers to the
  * instruction's width/sign, deliver traps only when enabled (else
  * the destination reads as zero, matching the interpreter).
@@ -249,29 +265,16 @@ execLoad(const MachineInstr &mi, uint64_t addr, SimState &state)
     unsigned dst = mi.ops[0].reg;
     if (isFPReg(dst)) {
         double v = 0;
-        if (!state.mem->loadFP(addr, mi.fp32, v)) {
-            TrapKind k = state.mem->lastTrap();
-            state.mem->clearTrap();
-            if (mi.trapEnabled) {
-                state.trap(k);
-                return;
-            }
-            v = 0;
-        }
+        if (!state.mem->loadFP(addr, mi.fp32, v) &&
+            failAccess(mi, state))
+            return;
         state.freg[dst - 32] = v;
         return;
     }
     unsigned bytes = mi.width ? mi.width : 1;
     uint64_t v = 0;
-    if (!state.mem->load(addr, bytes, v)) {
-        TrapKind k = state.mem->lastTrap();
-        state.mem->clearTrap();
-        if (mi.trapEnabled) {
-            state.trap(k);
-            return;
-        }
-        v = 0;
-    }
+    if (!state.mem->load(addr, bytes, v) && failAccess(mi, state))
+        return;
     state.ireg[dst] = normInt(v, mi.width, mi.signExt);
 }
 
@@ -288,12 +291,8 @@ execStore(const MachineInstr &mi, unsigned src_idx, uint64_t addr,
     else
         ok = state.mem->store(addr, mi.width ? mi.width : 1,
                               state.ireg[src]);
-    if (!ok) {
-        TrapKind k = state.mem->lastTrap();
-        state.mem->clearTrap();
-        if (mi.trapEnabled)
-            state.trap(k);
-    }
+    if (!ok)
+        failAccess(mi, state);
 }
 
 /** Read an 8-byte stack slot at sp+off into a register (raw bits for

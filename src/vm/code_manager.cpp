@@ -439,12 +439,13 @@ CodeManager::profileSnapshot() const
 }
 
 bool
-CodeManager::maybePromote(const Function *f)
+CodeManager::maybePromote(const MachineFunction *running)
 {
+    const Function *f = running ? running->source() : nullptr;
     if (!f || f->isDeclaration())
         return false;
     // Cheap precheck under the shared lock: this runs on every
-    // branch event of a profiled execution, and almost always
+    // sampled branch of a profiled execution, and almost always
     // rejects (already attempted, wrong tier, or still cold).
     {
         std::shared_lock<std::shared_mutex> lock(mu_);
@@ -459,7 +460,7 @@ CodeManager::maybePromote(const Function *f)
         if (!cache_.count(f))
             return false;
         std::lock_guard<std::mutex> plock(profileMu_);
-        if (profile_->functionSamples(functionId(f->name())) <
+        if (profile_->functionSamples(running->nameHash()) <
             watermark_)
             return false;
     }

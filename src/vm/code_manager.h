@@ -252,14 +252,15 @@ class CodeManager
                      ThreadPool *pool = nullptr);
 
     /**
-     * Promote \p f to the trace tier if its profiled sample count
-     * has crossed the watermark. Safe to call from the simulator's
-     * dispatch loop on every profile event: each function is
-     * attempted at most once per manager, and the currently
-     * executing body stays valid (retired, not destroyed). Returns
-     * true if a promotion was installed now.
+     * Promote the function \p running is a body of to the trace
+     * tier if its profiled sample count has crossed the watermark
+     * (looked up by the body's cached name hash). Safe to call from
+     * the simulator's dispatch loop on every recorded profile
+     * sample: each function is attempted at most once per manager,
+     * and the currently executing body stays valid (retired, not
+     * destroyed). Returns true if a promotion was installed now.
      */
-    bool maybePromote(const Function *f);
+    bool maybePromote(const MachineFunction *running);
 
     /** Fold a thread-local profile delta into the attached master
      *  profile (no-op without one). Worker threads publish their

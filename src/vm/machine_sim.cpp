@@ -237,14 +237,16 @@ MachineSimulator::runInternal(const Function *f,
     // translation time; the legacy engine keeps its original
     // rehash-per-event cost as the measurable baseline. Events are
     // recorded every sampleInterval_-th occurrence with matching
-    // weight, so totals stay in execution units.
+    // weight, so totals stay in execution units. Returns whether a
+    // sample was recorded: only then can a count have crossed the
+    // promotion watermark.
     auto noteBlock = [&](const MachineFunction *in,
                          const MachineBasicBlock *from,
                          const MachineBasicBlock *to) {
         if (!profile_)
-            return;
+            return false;
         if (--sampleCountdown_)
-            return;
+            return false;
         sampleCountdown_ = sampleInterval_;
         if (threaded) {
             profile_->noteId(
@@ -260,6 +262,7 @@ MachineSimulator::runInternal(const Function *f,
                 BlockId{fnHash, fnv1a(to->name())}, sampleInterval_);
         }
         NumProfileSamples += sampleInterval_;
+        return true;
     };
 
 
@@ -509,17 +512,18 @@ MachineSimulator::runInternal(const Function *f,
             ++index;
             break;
 
-          case SimState::Next::Branch:
-            noteBlock(mf, block, state.branchTarget);
+          case SimState::Next::Branch: {
+            bool sampled = noteBlock(mf, block, state.branchTarget);
             block = state.branchTarget;
             index = 0;
-            // Branches carry the loop back-edges, so this is where a
-            // function's sample count can cross the watermark; the
-            // running activation keeps its body (the replaced
-            // translation is retired, not destroyed).
-            if (profile_)
-                code_.maybePromote(mf->source());
+            // Branches carry the loop back-edges, so a sampled
+            // branch is where a function's count can cross the
+            // watermark; the running activation keeps its body (the
+            // replaced translation is retired, not destroyed).
+            if (sampled)
+                code_.maybePromote(mf);
             break;
+          }
 
           case SimState::Next::Trap:
             result.trap = state.trapKind;

@@ -181,6 +181,42 @@ constexpr uint8_t kKindFunction = 16;
 
 } // namespace
 
+TEST(Bytecode, VarintExtremesRoundTrip)
+{
+    // The sign fill at INT64_MIN and the tenth byte (shift 63) are
+    // the cases a signed accumulator gets wrong.
+    const int64_t values[] = {0,  1,  -1,        63,       -64,
+                              64, -65, INT64_MAX, INT64_MIN,
+                              INT64_MIN + 1};
+    ByteWriter w;
+    for (int64_t v : values)
+        w.writeVarint(v);
+    ByteReader r(w.bytes());
+    for (int64_t v : values)
+        EXPECT_EQ(r.readVarint(), v);
+    EXPECT_TRUE(r.atEnd());
+}
+
+TEST(Bytecode, RejectsLengthThatWrapsPastEnd)
+{
+    // pos + n wraps to a small number for these lengths: the reader
+    // must refuse them, not copy past its buffer.
+    const uint8_t bytes[4] = {1, 2, 3, 4};
+    uint8_t out[4];
+    ByteReader r(bytes, sizeof(bytes));
+    r.readByte();
+    EXPECT_THROW(r.readBytes(out, SIZE_MAX), FatalError);
+    EXPECT_THROW(r.readBytes(out, SIZE_MAX - 1), FatalError);
+    ByteWriter w;
+    w.writeVaruint(~uint64_t(0));
+    ByteReader s(w.bytes());
+    EXPECT_THROW(s.readString(), FatalError);
+    // An empty read of an empty buffer is fine.
+    ByteReader empty(nullptr, 0);
+    empty.readBytes(nullptr, 0);
+    EXPECT_TRUE(empty.atEnd());
+}
+
 TEST(Bytecode, RejectsBadMagic)
 {
     ByteWriter w;

@@ -6,16 +6,22 @@
  * workload, chains must link lazily and unlink on invalidate()/SMC
  * retirement, sampled profiling must estimate exact counts, and the
  * two bugfixes that rode along — trap-handler outcomes and exact
- * instruction budgets — get regression coverage.
+ * instruction budgets — get regression coverage. The operand-
+ * specialized handlers are checked shape by shape against the
+ * generic handlers they replace.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <random>
 
 #include "bytecode/bytecode.h"
 #include "llee/envelope.h"
 #include "llee/llee.h"
 #include "parser/parser.h"
 #include "support/statistic.h"
+#include "target/common/common_target.h"
 #include "trace/profile.h"
 #include "verifier/verifier.h"
 #include "vm/interpreter.h"
@@ -576,5 +582,242 @@ TEST(InstructionLimit, ChainedFastPathHonorsTheBudget)
         sim.setProfile(&profile);
         sim.setInstructionLimit(total - 1);
         EXPECT_THROW(sim.run(m->getFunction("main")), FatalError);
+    }
+}
+
+// --- Operand-specialized handlers vs their generic handlers ----------
+
+namespace {
+
+constexpr uint64_t kSpecMemSize = 64 << 10;
+
+/** One instruction shape: opcode, operand kinds and width. */
+struct Shape
+{
+    std::string name;
+    uint16_t opcode;
+    /** Per operand: 'd'/'r' integer register, 'f' FP register, 'i'
+     *  immediate, 's' stack-slot offset, 'g' global. */
+    std::string ops;
+    uint8_t width = 8;
+    bool signExt = false;
+};
+
+/** The instruction shapes every target specializes. */
+std::vector<Shape>
+specializedShapes(const std::string &target, uint16_t base)
+{
+    using namespace cmn;
+    std::vector<Shape> v = {
+        {"copy r<-r", kOpCopy, "dr"},
+        {"copy r<-imm", kOpCopy, "di"},
+        {"spill", kOpSpill, "rs"},
+        {"reload", kOpReload, "ds"},
+        {"storestack", uint16_t(base | kStoreStack), "rs"},
+        {"loadstack", uint16_t(base | kLoadStack), "ds"},
+        {"load64", uint16_t(base | kLoad), "dr"},
+        {"store64", uint16_t(base | kStore), "rr"},
+    };
+    static const char *const alu[] = {"add", "sub", "mul", "div",
+                                      "rem", "and", "or",  "xor",
+                                      "shl", "shr"};
+    for (unsigned op : {kAdd, kSub, kMul, kAnd, kOr, kXor, kShl})
+        for (const char *b : {"drr", "dri"})
+            v.push_back({std::string(alu[op]) + "64 " + b,
+                         uint16_t(base | op), b});
+    static const char *const cc[] = {"eq", "ne", "lt",
+                                     "gt", "le", "ge"};
+    // Flags-style setcc (x86) reads only its def; the extra operands
+    // give the compare-into-register form its sources.
+    for (unsigned op = kSetEq; op <= kSetGe; ++op)
+        for (bool sign : {false, true})
+            for (const char *b : {"drr", "dri"})
+                v.push_back({std::string("set") + cc[op - kSetEq] +
+                                 (sign ? "s " : "u ") + b,
+                             uint16_t(base | op), b, 8, sign});
+    if (target == "x86") // the flags-setting integer compare
+        for (const char *b : {"rr", "ri"})
+            v.push_back({std::string("cmp64 ") + b,
+                         uint16_t(base | kTargetOp0), b});
+    return v;
+}
+
+/** Shapes that must keep the generic handler. */
+std::vector<Shape>
+genericShapes(uint16_t base)
+{
+    using namespace cmn;
+    return {
+        {"copy f<-f", kOpCopy, "ff"},
+        {"copy r<-global", kOpCopy, "dg"},
+        {"spill fp", kOpSpill, "fs"},
+        {"reload fp", kOpReload, "fs"},
+        {"add32", uint16_t(base | kAdd), "drr", 4},
+        {"div64", uint16_t(base | kDiv), "drr"},
+        {"rem64", uint16_t(base | kRem), "dri"},
+        {"shr64", uint16_t(base | kShr), "drr", 8, true},
+        {"add64 r<-global", uint16_t(base | kAdd), "drg"},
+        {"load32", uint16_t(base | kLoad), "dr", 4, true},
+        {"loadfp", uint16_t(base | kLoad), "fr"},
+        {"store16", uint16_t(base | kStore), "rr", 2},
+        {"storefp", uint16_t(base | kStore), "fr"},
+    };
+}
+
+/** A fresh instruction of \p shape with random registers and
+ *  immediates; 'r' registers may alias each other and the def. */
+std::unique_ptr<MachineInstr>
+makeInstr(const Shape &shape, bool trapEnabled, std::mt19937_64 &rng)
+{
+    std::vector<MOperand> ops;
+    for (char k : shape.ops) {
+        switch (k) {
+          case 'd':
+          case 'r': ops.push_back(MOperand::makeReg(rng() % 32)); break;
+          case 'f':
+            ops.push_back(MOperand::makeReg(32 + rng() % 32));
+            break;
+          case 'i':
+            // Small, negative and full-width immediates.
+            ops.push_back(MOperand::makeImm(
+                rng() % 2 ? int64_t(rng() % 128) - 64
+                          : int64_t(rng())));
+            break;
+          case 's':
+            ops.push_back(
+                MOperand::makeImm(int64_t(rng() % 512) - 256));
+            break;
+          case 'g':
+            ops.push_back(MOperand::makeGlobal(nullptr));
+            break;
+        }
+    }
+    auto mi = std::make_unique<MachineInstr>(
+        shape.opcode, std::move(ops),
+        shape.ops[0] == 'd' || shape.ops[0] == 'f' ? 1u : 0u);
+    mi->width = shape.width;
+    mi->signExt = shape.signExt;
+    mi->trapEnabled = trapEnabled;
+    return mi;
+}
+
+/** An address that is valid, in the null guard page, straddling the
+ *  end of memory, or wrapping past 2^64. */
+uint64_t
+randomAddress(std::mt19937_64 &rng)
+{
+    switch (rng() % 6) {
+      case 0: return 4096 + rng() % (kSpecMemSize - 4096 - 8);
+      case 1: return 4096 + 8 * (rng() % 1024);
+      case 2: return rng() % 4096;
+      case 3: return kSpecMemSize - 8 + rng() % 8;
+      case 4: return ~uint64_t(0) - rng() % 8;
+      default: return rng();
+    }
+}
+
+/** Randomize registers, condition state and sp; every register holds
+ *  either an address or arbitrary bits. */
+void
+randomizeState(SimState &s, std::mt19937_64 &rng)
+{
+    for (auto &r : s.ireg)
+        r = rng() % 2 ? randomAddress(rng) : rng();
+    for (auto &f : s.freg)
+        f = double(int64_t(rng() % 2001) - 1000) / 8;
+    s.ccSA = int64_t(rng());
+    s.ccSB = rng() % 4 ? int64_t(rng()) : s.ccSA;
+    s.ccUA = rng();
+    s.ccUB = rng() % 4 ? rng() : s.ccUA;
+    s.ccFA = double(rng() % 7);
+    s.ccFB = double(rng() % 7);
+    s.ccFP = rng() % 4 == 0;
+    s.sp = randomAddress(rng);
+}
+
+std::vector<uint8_t>
+memoryImage(const Memory &mem)
+{
+    ByteWriter w;
+    mem.serialize(w);
+    return w.bytes();
+}
+
+void
+expectSameState(const SimState &a, const SimState &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.ireg, b.ireg) << what;
+    EXPECT_EQ(0, std::memcmp(a.freg.data(), b.freg.data(),
+                             sizeof(a.freg)))
+        << what;
+    EXPECT_EQ(a.ccSA, b.ccSA) << what;
+    EXPECT_EQ(a.ccSB, b.ccSB) << what;
+    EXPECT_EQ(a.ccUA, b.ccUA) << what;
+    EXPECT_EQ(a.ccUB, b.ccUB) << what;
+    EXPECT_EQ(a.ccFP, b.ccFP) << what;
+    EXPECT_EQ(a.sp, b.sp) << what;
+    EXPECT_EQ(a.next, b.next) << what;
+    EXPECT_EQ(a.trapKind, b.trapKind) << what;
+}
+
+} // namespace
+
+TEST(SpecializedHandlers, MatchGenericHandlersOnRandomStates)
+{
+    std::mt19937_64 rng(20031203);
+    for (const std::string &name : targetNames()) {
+        auto *target =
+            dynamic_cast<const cmn::CommonTarget *>(getTarget(name));
+        ASSERT_NE(target, nullptr) << name;
+        // One memory per side, kept identical across trials by the
+        // handlers under test.
+        Memory memSpec(kSpecMemSize), memGen(kSpecMemSize);
+        for (int i = 0; i < 256; ++i) {
+            uint64_t addr = 4096 + rng() % (kSpecMemSize - 4096 - 8);
+            uint64_t v = rng();
+            memSpec.writeRaw(addr, &v, 8);
+            memGen.writeRaw(addr, &v, 8);
+        }
+        for (const Shape &shape :
+             specializedShapes(name, target->opcodeBase())) {
+            for (bool trapEnabled : {false, true}) {
+                std::string what = name + " " + shape.name +
+                                   (trapEnabled ? " ee" : " !ee");
+                for (int trial = 0; trial < 200; ++trial) {
+                    auto mi = makeInstr(shape, trapEnabled, rng);
+                    ExecFn spec = target->handlerFor(*mi);
+                    ExecFn gen = target->genericHandlerFor(*mi);
+                    // A silent fallback to the generic handler would
+                    // make the comparison below vacuous.
+                    ASSERT_NE(spec, gen) << what;
+
+                    SimState a;
+                    randomizeState(a, rng);
+                    SimState b = a;
+                    a.mem = &memSpec;
+                    b.mem = &memGen;
+                    a.next = b.next = SimState::Next::Fall;
+                    spec(*mi, a);
+                    gen(*mi, b);
+                    expectSameState(a, b, what);
+                    EXPECT_EQ(memSpec.lastTrap(), TrapKind::None)
+                        << what;
+                    EXPECT_EQ(memGen.lastTrap(), TrapKind::None)
+                        << what;
+                }
+                // Whole images, once per batch: a divergent store
+                // would have to be overwritten identically on both
+                // sides to hide.
+                ASSERT_EQ(memoryImage(memSpec), memoryImage(memGen))
+                    << what;
+            }
+        }
+        for (const Shape &shape : genericShapes(target->opcodeBase())) {
+            auto mi = makeInstr(shape, true, rng);
+            EXPECT_EQ(target->handlerFor(*mi),
+                      target->genericHandlerFor(*mi))
+                << name << " " << shape.name;
+        }
     }
 }

@@ -105,6 +105,56 @@ entry:
     EXPECT_EQ(simulate(*m, "sparc").trap, TrapKind::NullAccess);
 }
 
+TEST(Exceptions, AccessThroughPointerMinusFourIsOutOfBounds)
+{
+    // A guest pointer of -4 (2^64 - 4): addr + width wraps past zero,
+    // so a bounds check that sums them would let it through to the
+    // host. Every engine must trap OutOfBounds when the access has
+    // exceptions enabled and drop it (loads read 0) when not. Both
+    // 8-byte (specialized handler) and 4-byte (generic) accesses.
+    for (const char *ty : {"long", "int"}) {
+        const std::string prelude =
+            std::string("long %main() {\nentry:\n"
+                        "    %a = sub long 0, 4\n"
+                        "    %p = cast long %a to ") +
+            ty + "*\n";
+        const std::string access[] = {
+            std::string("    %v = load ") + ty + "* %p",
+            std::string("    store ") + ty + " 7, " + ty + "* %p",
+        };
+        for (const std::string &acc : access) {
+            auto trapping = parseAssembly(prelude + acc +
+                                          "\n    ret long 1\n}\n")
+                                .orDie();
+            verifyOrDie(*trapping);
+            EXPECT_EQ(interpret(*trapping).trap, TrapKind::OutOfBounds)
+                << acc;
+            for (const std::string &t : targetNames())
+                EXPECT_EQ(simulate(*trapping, t).trap,
+                          TrapKind::OutOfBounds)
+                    << t << ": " << acc;
+        }
+        // Exceptions disabled: the store is dropped and the load
+        // reads zero.
+        auto dropped =
+            parseAssembly(prelude + access[1] + " !ee(false)\n" +
+                          access[0] + " !ee(false)\n" +
+                          "    %w = cast " + ty + " %v to long\n" +
+                          "    %r = add long %w, 5\n" +
+                          "    ret long %r\n}\n")
+                .orDie();
+        verifyOrDie(*dropped);
+        auto r = interpret(*dropped);
+        EXPECT_TRUE(r.ok()) << ty;
+        EXPECT_EQ(r.value.i, 5u) << ty;
+        for (const std::string &t : targetNames()) {
+            auto sr = simulate(*dropped, t);
+            EXPECT_TRUE(sr.ok()) << t << " " << ty;
+            EXPECT_EQ(sr.value.i, 5u) << t << " " << ty;
+        }
+    }
+}
+
 TEST(Exceptions, NullStoreIgnoredWhenDisabled)
 {
     auto m = parseAssembly(R"(

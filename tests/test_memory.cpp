@@ -2,11 +2,16 @@
  * @file
  * VM memory tests: the demand-zero image reads zero wherever nothing
  * was written, the dirty-page bitmap bounds checkpoint
- * serialize/restore without changing a byte of the format, and a
- * restore clears every page dirtied after the capture.
+ * serialize/restore without changing a byte of the format, a
+ * restore clears every page dirtied after the capture, no address,
+ * however close to 2^64, gets past the bounds check, and malloc's
+ * free-block index keeps plain first-fit placement.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <random>
 
 #include "codegen/memory.h"
 #include "parser/parser.h"
@@ -77,6 +82,84 @@ TEST(Memory, FreshMemoryReadsZero)
     mem.clearTrap();
     EXPECT_FALSE(mem.load(mem.stackTop() - 4, 8, v));
     EXPECT_EQ(mem.lastTrap(), TrapKind::OutOfBounds);
+}
+
+TEST(Memory, AccessesNearTopOfAddressSpaceAreOutOfBounds)
+{
+    // addr + width wraps past zero for these addresses: the check
+    // must reject them without forming that sum.
+    Memory mem;
+    auto expectOutOfBounds = [&](bool ok, const char *what,
+                                 uint64_t addr) {
+        EXPECT_FALSE(ok) << what << " at 2^64-" << (0 - addr);
+        EXPECT_EQ(mem.lastTrap(), TrapKind::OutOfBounds)
+            << what << " at 2^64-" << (0 - addr);
+        mem.clearTrap();
+    };
+    for (uint64_t back = 1; back <= 8; ++back) {
+        const uint64_t addr = 0 - back;
+        for (unsigned width : {1u, 2u, 4u, 8u}) {
+            uint64_t v = 0;
+            expectOutOfBounds(mem.load(addr, width, v), "load", addr);
+            expectOutOfBounds(mem.store(addr, width, 0x1234), "store",
+                              addr);
+        }
+        for (bool fp32 : {false, true}) {
+            double d = 0;
+            expectOutOfBounds(mem.loadFP(addr, fp32, d), "loadFP",
+                              addr);
+            expectOutOfBounds(mem.storeFP(addr, fp32, 2.5), "storeFP",
+                              addr);
+        }
+    }
+    // Nothing was written, or marked dirty.
+    EXPECT_EQ(imagePages(serialized(mem)), 0u);
+}
+
+TEST(Memory, MallocIsFirstFitOverAllBlocksInAddressOrder)
+{
+    // The free-block index must not change which block malloc picks:
+    // replay a random malloc/free mix against the plain model (scan
+    // every block in address order, take the first free one that
+    // fits, else bump) and compare every returned address.
+    struct Block
+    {
+        uint64_t size;
+        bool free;
+    };
+    std::map<uint64_t, Block> model;
+    uint64_t brk = 0;
+    Memory mem;
+    std::mt19937_64 rng(7);
+    std::vector<uint64_t> live;
+    for (int step = 0; step < 4000; ++step) {
+        if (!live.empty() && rng() % 3 == 0) {
+            size_t i = rng() % live.size();
+            mem.free(live[i]);
+            model.at(live[i]).free = true;
+            live.erase(live.begin() + static_cast<ptrdiff_t>(i));
+            continue;
+        }
+        uint64_t size = 16 * (1 + rng() % 20); // malloc rounds to 16
+        uint64_t expect = 0;
+        for (auto &[addr, blk] : model) {
+            if (blk.free && blk.size >= size) {
+                blk.free = false;
+                expect = addr;
+                break;
+            }
+        }
+        uint64_t got = mem.malloc(size);
+        if (!expect) {
+            if (!brk)
+                brk = got; // the heap's base
+            expect = brk;
+            brk += size;
+            model[expect] = {size, false};
+        }
+        ASSERT_EQ(got, expect) << "step " << step;
+        live.push_back(got);
+    }
 }
 
 TEST(Memory, UntouchedMemorySerializesNoPages)
