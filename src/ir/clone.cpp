@@ -4,8 +4,16 @@
 
 #include "ir/instructions.h"
 #include "ir/module.h"
+#include "support/statistic.h"
 
 namespace llva {
+
+namespace {
+
+Statistic NumSnapshots("ir.snapshots_captured",
+                       "Function bodies cloned as restore points");
+
+} // namespace
 
 FunctionSnapshot::~FunctionSnapshot()
 {
@@ -17,6 +25,7 @@ FunctionSnapshot::~FunctionSnapshot()
 FunctionSnapshot
 FunctionSnapshot::capture(const Function &f)
 {
+    ++NumSnapshots;
     FunctionSnapshot snap;
     snap.captured_ = true;
     if (f.isDeclaration())

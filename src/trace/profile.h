@@ -169,31 +169,6 @@ struct EdgeProfile
             fnSamples[fn] += c;
         samples += other.samples;
     }
-
-    // --- Deprecated pointer-keyed API -------------------------------------
-    //
-    // The original profile was keyed directly on BasicBlock*, which
-    // dangled the moment a sandboxed pass restored a FunctionSnapshot
-    // or a pass deleted a block. These shims keep the old lookup
-    // shape compiling but resolve through stable IDs and *check*
-    // their argument (a detached block panics instead of reading
-    // freed memory).
-
-    [[deprecated("profiles are keyed by stable BlockId; use "
-                 "blockCount()")]]
-    uint64_t
-    at(const BasicBlock *bb) const
-    {
-        return blockCount(bb);
-    }
-
-    [[deprecated("profiles are keyed by stable BlockId; use "
-                 "edgeCount()")]]
-    uint64_t
-    at(const BasicBlock *from, const BasicBlock *to) const
-    {
-        return edgeCount(from, to);
-    }
 };
 
 /**

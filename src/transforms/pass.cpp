@@ -23,7 +23,7 @@ Statistic NumContained("passes.contained_failures",
                        "Pass applications contained by the sandbox");
 Statistic NumBudgetExceeded(
     "passes.budget_exceeded",
-    "Pass applications rolled back for blowing their budget");
+    "Pass applications contained for blowing their budget");
 
 /** CI hook: LLVA_VERIFY_EACH=1 turns on verify-each everywhere. */
 bool
@@ -50,6 +50,46 @@ bisectState()
 {
     static BisectState s;
     return s;
+}
+
+/** Run one pass application under the sandbox guard; returns the
+ *  failure reason, or "" if the pass returned normally. */
+template <typename Run>
+std::string
+guarded(Run &&run)
+{
+    try {
+        run();
+    } catch (const FatalError &err) {
+        return std::string("pass fault: ") + err.what();
+    } catch (const std::exception &err) {
+        return std::string("pass exception: ") + err.what();
+    }
+    return "";
+}
+
+/** The budget verdict for one application ("" if within it). */
+std::string
+budgetFailure(const PassBudget &budget, double secs, size_t before,
+              size_t after, const char *unit)
+{
+    const size_t limit = std::max(
+        budget.growthFloor,
+        static_cast<size_t>(static_cast<double>(before) *
+                            budget.maxGrowth));
+    char buf[128];
+    if (secs > budget.maxSeconds)
+        std::snprintf(buf, sizeof(buf),
+                      "budget exceeded: %.3fs > %.3fs wall clock", secs,
+                      budget.maxSeconds);
+    else if (after > limit)
+        std::snprintf(buf, sizeof(buf),
+                      "budget exceeded: %sgrew %zu -> %zu instructions "
+                      "(limit %zu)",
+                      unit, before, after, limit);
+    else
+        return "";
+    return buf;
 }
 
 } // namespace
@@ -136,7 +176,7 @@ PassManager::verifyAfter(Module &m, const Entry &e)
 
 PassResult
 PassManager::applyFunctionPass(const Entry &e, Function &f,
-                               AnalysisManager &am)
+                               AnalysisManager &am, bool restore)
 {
     ++NumPassRuns;
     if (OptBisect::enabled() && !OptBisect::shouldRun(e.name(), f.name()))
@@ -160,44 +200,23 @@ PassManager::applyFunctionPass(const Entry &e, Function &f,
         return r;
     }
 
-    // Sandboxed: snapshot, guard, enforce the budget, and on any
-    // failure put the function back exactly as it was.
-    FunctionSnapshot snap = FunctionSnapshot::capture(f);
-    const size_t before = snap.instructionCount();
+    // Sandboxed: guard and enforce the budget. With \p restore, a
+    // per-application snapshot puts the function back exactly as it
+    // was; without, the body is left as the pass left it and the
+    // caller, which holds one snapshot for the whole pipeline, is
+    // responsible for restoring it.
+    FunctionSnapshot snap;
+    if (restore)
+        snap = FunctionSnapshot::capture(f);
+    const size_t before = f.instructionCount();
     Timer t;
-    std::string failure;
-    bool budgetBlown = false;
     PassResult r = PassResult::unchanged();
-    try {
-        r = e.fp->run(f, am);
-    } catch (const FatalError &err) {
-        failure = std::string("pass fault: ") + err.what();
-    } catch (const std::exception &err) {
-        failure = std::string("pass exception: ") + err.what();
-    }
-
+    std::string failure = guarded([&] { r = e.fp->run(f, am); });
+    bool budgetBlown = false;
     if (failure.empty()) {
-        const double secs = t.seconds();
-        const size_t limit = std::max(
-            budget_.growthFloor,
-            static_cast<size_t>(static_cast<double>(before) *
-                                budget_.maxGrowth));
-        if (secs > budget_.maxSeconds) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "budget exceeded: %.3fs > %.3fs wall clock",
-                          secs, budget_.maxSeconds);
-            failure = buf;
-            budgetBlown = true;
-        } else if (f.instructionCount() > limit) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "budget exceeded: grew %zu -> %zu "
-                          "instructions (limit %zu)",
-                          before, f.instructionCount(), limit);
-            failure = buf;
-            budgetBlown = true;
-        }
+        failure = budgetFailure(budget_, t.seconds(), before,
+                                f.instructionCount(), "");
+        budgetBlown = !failure.empty();
     }
 
     // Invalidation runs outside the guard on purpose: the analysis
@@ -213,21 +232,33 @@ PassManager::applyFunctionPass(const Entry &e, Function &f,
     }
 
     if (!failure.empty()) {
-        snap.restoreInto(f);
-        // The restore replaced every block, so anything cached for
-        // this function points at freed IR.
+        if (restore)
+            snap.restoreInto(f);
+        // Restored or mangled, the body no longer matches anything
+        // cached for this function.
         am.invalidate(f);
-        containedFailures_.push_back({e.name(), f.name(), failure});
-        ++NumContained;
-        if (budgetBlown)
-            ++NumBudgetExceeded;
-        warn("contained pass '%s' on function '%s': %s", e.name(),
-             f.name().c_str(), failure.c_str());
+        contain(e, f.name(), failure, budgetBlown);
         return PassResult::unchanged();
     }
     if (r.changed)
         ++NumPassChanges;
     return r;
+}
+
+void
+PassManager::contain(const Entry &e, const std::string &unit,
+                     const std::string &failure, bool budgetBlown)
+{
+    containedFailures_.push_back({e.name(), unit, failure});
+    ++NumContained;
+    if (budgetBlown)
+        ++NumBudgetExceeded;
+    if (unit.empty())
+        warn("contained module pass '%s': %s", e.name(),
+             failure.c_str());
+    else
+        warn("contained pass '%s' on function '%s': %s", e.name(),
+             unit.c_str(), failure.c_str());
 }
 
 PassResult
@@ -268,39 +299,13 @@ PassManager::applyModulePass(const Entry &e, Module &m,
     }
 
     Timer t;
-    std::string failure;
-    bool budgetBlown = false;
     PassResult r = PassResult::unchanged();
-    try {
-        r = e.mp->run(m, am);
-    } catch (const FatalError &err) {
-        failure = std::string("pass fault: ") + err.what();
-    } catch (const std::exception &err) {
-        failure = std::string("pass exception: ") + err.what();
-    }
-
+    std::string failure = guarded([&] { r = e.mp->run(m, am); });
+    bool budgetBlown = false;
     if (failure.empty()) {
-        const double secs = t.seconds();
-        const size_t limit = std::max(
-            budget_.growthFloor,
-            static_cast<size_t>(static_cast<double>(before) *
-                                budget_.maxGrowth));
-        if (secs > budget_.maxSeconds) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "budget exceeded: %.3fs > %.3fs wall clock",
-                          secs, budget_.maxSeconds);
-            failure = buf;
-            budgetBlown = true;
-        } else if (m.instructionCount() > limit) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "budget exceeded: module grew %zu -> %zu "
-                          "instructions (limit %zu)",
-                          before, m.instructionCount(), limit);
-            failure = buf;
-            budgetBlown = true;
-        }
+        failure = budgetFailure(budget_, t.seconds(), before,
+                                m.instructionCount(), "module ");
+        budgetBlown = !failure.empty();
     }
 
     if (failure.empty() && r.changed)
@@ -324,12 +329,7 @@ PassManager::applyModulePass(const Entry &e, Module &m,
         for (Function *f : minted)
             m.eraseFunction(f);
         am.clear();
-        containedFailures_.push_back({e.name(), "", failure});
-        ++NumContained;
-        if (budgetBlown)
-            ++NumBudgetExceeded;
-        warn("contained module pass '%s': %s", e.name(),
-             failure.c_str());
+        contain(e, "", failure, budgetBlown);
         return PassResult::unchanged();
     }
     if (r.changed)
@@ -374,7 +374,7 @@ PassManager::run(Module &m, AnalysisManager &am)
             for (size_t k = i; k < stageEnd; ++k) {
                 Entry &e = entries_[k];
                 Timer t;
-                PassResult r = applyFunctionPass(e, *f, am);
+                PassResult r = applyFunctionPass(e, *f, am, true);
                 timings_[k].seconds += t.seconds();
                 timings_[k].invocations += 1;
                 if (r.changed)
@@ -408,10 +408,13 @@ PassManager::runOnFunction(Function &f, AnalysisManager &am)
                   entries_[i].name());
     }
 
-    for (size_t k = 0; k < entries_.size(); ++k) {
+    // No per-application snapshot: the first contained failure ends
+    // the pipeline and the caller restores its own pristine copy.
+    for (size_t k = 0; k < entries_.size() && containedFailures_.empty();
+         ++k) {
         Entry &e = entries_[k];
         Timer t;
-        PassResult r = applyFunctionPass(e, f, am);
+        PassResult r = applyFunctionPass(e, f, am, false);
         timings_[k].seconds += t.seconds();
         timings_[k].invocations += 1;
         if (r.changed)

@@ -93,11 +93,10 @@ struct PassTiming
 
 /**
  * Resource ceiling for one sandboxed pass application. A pass that
- * exceeds it is treated exactly like a faulting pass: the unit is
- * restored from its snapshot and the pipeline continues without
- * that application. Wall clock is necessarily checked after the
- * pass returns (passes are not preemptible), so the budget bounds
- * damage per application, not the absolute latency of one.
+ * exceeds it is treated exactly like a faulting pass (see
+ * PassManager::setSandbox). Wall clock is necessarily checked after
+ * the pass returns (passes are not preemptible), so the budget
+ * bounds damage per application, not the absolute latency of one.
  */
 struct PassBudget
 {
@@ -174,12 +173,14 @@ class PassManager
     void setVerifyEach(bool v) { verifyEach_ = v; }
 
     /**
-     * Fault containment: snapshot each unit before a pass runs, and
-     * if the pass throws, breaks the verifier (under verify-each), or
-     * blows its budget, restore the snapshot and continue the
-     * pipeline without that application. Off by default — batch
-     * tools want a faulting pass to be loud; the runtime translator
-     * wants it contained.
+     * Fault containment: a pass application that throws, breaks the
+     * verifier (under verify-each), or blows its budget is recorded
+     * as a ContainedFailure instead of escaping. run() snapshots each
+     * unit before every application, restores it on failure and
+     * continues without that application; runOnFunction() takes no
+     * snapshot (see there). Off by default — batch tools want a
+     * faulting pass to be loud; the runtime translator wants it
+     * contained.
      */
     void setSandbox(bool v) { sandbox_ = v; }
     bool sandbox() const { return sandbox_; }
@@ -202,7 +203,12 @@ class PassManager
     /**
      * Run only the function passes over a single function (the tier
      * ladder retranslates one function at a time). Panics if the
-     * pipeline contains a module pass.
+     * pipeline contains a module pass. Under sandbox the whole run
+     * is one transaction owned by the caller: nothing is cloned per
+     * application, the first contained failure stops the pipeline,
+     * and \p f is left as the failing pass left it. A caller that
+     * sees containedFailures() non-empty must restore \p f from its
+     * own snapshot taken before the run.
      */
     bool runOnFunction(Function &f, AnalysisManager &am);
 
@@ -236,12 +242,17 @@ class PassManager
 
     void verifyAfter(Module &m, const Entry &e);
 
-    /** One sandboxed/bisected function-pass application. */
+    /** One sandboxed/bisected function-pass application; with
+     *  \p restore a contained failure restores \p f from a
+     *  per-application snapshot. */
     PassResult applyFunctionPass(const Entry &e, Function &f,
-                                 AnalysisManager &am);
+                                 AnalysisManager &am, bool restore);
     /** One sandboxed/bisected module-pass application. */
     PassResult applyModulePass(const Entry &e, Module &m,
                                AnalysisManager &am);
+    /** Record one contained failure (unit "" = module pass). */
+    void contain(const Entry &e, const std::string &unit,
+                 const std::string &failure, bool budgetBlown);
 
     std::vector<Entry> entries_;
     std::vector<std::string> changed_;

@@ -84,7 +84,7 @@ CodeManager::translateWithLadder(Function &f)
     const unsigned top = opts_.optLevel;
     for (int level = static_cast<int>(top); level >= 0; --level) {
         Timer timer;
-        auto mf = translateAtTier(f, static_cast<unsigned>(level));
+        auto mf = translateRung(f, static_cast<unsigned>(level));
         if (mf) {
             seconds_ += timer.seconds();
             ++translated_;
@@ -107,50 +107,53 @@ CodeManager::translateWithLadder(Function &f)
 }
 
 std::unique_ptr<MachineFunction>
-CodeManager::translateAtTier(Function &f, unsigned level)
+CodeManager::translateRung(Function &f, unsigned level)
 {
-    // Optimize a copy-on-write style: snapshot the pristine body,
-    // optimize in place under the sandbox, codegen, then restore.
-    // The original bytecode stays the single source of truth (lower
-    // tiers and the interpreter must see the unoptimized body).
+    // One rung is one transaction over the body: snapshot the
+    // pristine body once, optimize in place under the sandbox (which
+    // stops at its first contained failure and clones nothing per
+    // pass), lay out traces at the trace tier, codegen, restore. The
+    // original bytecode stays the single source of truth (lower tiers
+    // and the interpreter must see the unoptimized body), and a rung
+    // that faulted anywhere is abandoned whole.
+    const bool trace = level == kTierTrace;
+    const unsigned passes = trace ? opts_.optLevel : level;
     FunctionSnapshot pristine;
-    const bool mutates = level > 0 || bool(hooks_);
+    const bool mutates = passes > 0 || trace || bool(hooks_);
+    bool failed = false;
     if (mutates) {
         pristine = FunctionSnapshot::capture(f);
         PassManager pm;
         pm.setSandbox(true);
         pm.setVerifyEach(opts_.verifyEach);
-        addFunctionPasses(pm, level);
+        addFunctionPasses(pm, passes);
         if (hooks_.extendPipeline)
             hooks_.extendPipeline(pm, level);
         AnalysisManager am;
-        bool failed = false;
         try {
             pm.runOnFunction(f, am);
-            // The sandbox restored any individual failing pass, but
-            // a tier that faulted at all is not trusted: degrade.
             failed = !pm.containedFailures().empty();
         } catch (const std::exception &) {
             failed = true;
         }
-        if (failed) {
-            pristine.restoreInto(f);
-            return nullptr;
-        }
     }
 
     std::unique_ptr<MachineFunction> mf;
-    try {
-        if (hooks_.beforeCodegen)
-            hooks_.beforeCodegen(f, level);
-        CodeGenStats stats;
-        mf = translateFunction(f, target_, opts_, &stats);
-        stats_.phiCopiesInserted += stats.phiCopiesInserted;
-        stats_.phiCopiesCoalesced += stats.phiCopiesCoalesced;
-        stats_.spillsInserted += stats.spillsInserted;
-        stats_.reloadsInserted += stats.reloadsInserted;
-    } catch (const std::exception &) {
-        mf.reset();
+    if (!failed) {
+        try {
+            if (trace)
+                layoutTraces(f);
+            if (hooks_.beforeCodegen)
+                hooks_.beforeCodegen(f, level);
+            CodeGenStats stats;
+            mf = translateFunction(f, target_, opts_, &stats);
+            stats_.phiCopiesInserted += stats.phiCopiesInserted;
+            stats_.phiCopiesCoalesced += stats.phiCopiesCoalesced;
+            stats_.spillsInserted += stats.spillsInserted;
+            stats_.reloadsInserted += stats.reloadsInserted;
+        } catch (const std::exception &) {
+            mf.reset();
+        }
     }
     if (mutates)
         pristine.restoreInto(f);
@@ -492,9 +495,10 @@ CodeManager::maybePromote(const MachineFunction *running)
         // module, so translation must never overlap other pipeline
         // work. The pool decouples promotion from the dispatch loop
         // without introducing a data race.
-        pool_->enqueue([&] { mf = translateAtTraceTier(fn); }).get();
+        pool_->enqueue([&] { mf = translateRung(fn, kTierTrace); })
+            .get();
     } else {
-        mf = translateAtTraceTier(fn);
+        mf = translateRung(fn, kTierTrace);
     }
 
     if (!mf) {
@@ -527,90 +531,48 @@ CodeManager::maybePromote(const MachineFunction *running)
     return true;
 }
 
-std::unique_ptr<MachineFunction>
-CodeManager::translateAtTraceTier(Function &f)
+void
+CodeManager::layoutTraces(Function &f)
 {
-    // Same copy-on-write discipline as every other rung: snapshot,
-    // optimize in place under the sandbox, lay out, codegen, restore.
-    FunctionSnapshot pristine = FunctionSnapshot::capture(f);
-    PassManager pm;
-    pm.setSandbox(true);
-    pm.setVerifyEach(opts_.verifyEach);
-    addFunctionPasses(pm, opts_.optLevel);
-    if (hooks_.extendPipeline)
-        hooks_.extendPipeline(pm, kTierTrace);
-    AnalysisManager am;
-    bool failed = false;
-    try {
-        pm.runOnFunction(f, am);
-        failed = !pm.containedFailures().empty();
-    } catch (const std::exception &) {
-        failed = true;
+    // Form hot traces from the runtime profile. The profile was
+    // gathered over machine code produced by this same deterministic
+    // pipeline, so its stable block IDs resolve by name against the
+    // freshly optimized body. The trace cache is scoped to this
+    // promotion: it holds BasicBlock pointers into the optimized body,
+    // which dies when the rung restores its snapshot. Only the stable
+    // head IDs outlive it (re-promotion accounting). The profile is
+    // read under its own mutex: worker threads may be merging deltas
+    // concurrently.
+    std::unique_lock<std::mutex> plock(profileMu_);
+    std::vector<Trace> traces = formTraces(f, *profile_, TraceOptions{});
+    TraceCache cache;
+    for (Trace &t : traces) {
+        BlockId head = blockId(t.head());
+        if (cache.lookup(t.head()) || traceHeads_.count(head))
+            ++NumTraceCacheHits;
+        traceHeads_.insert(head);
+        cache.insert(t);
     }
-
-    std::unique_ptr<MachineFunction> mf;
-    if (!failed) {
-        try {
-            // Form hot traces from the runtime profile. The profile
-            // was gathered over machine code produced by this same
-            // deterministic pipeline, so its stable block IDs
-            // resolve by name against the freshly optimized body.
-            // The trace cache is scoped to this promotion: it holds
-            // BasicBlock pointers into the optimized body, which
-            // dies when the snapshot is restored below. Only the
-            // stable head IDs outlive it (re-promotion accounting).
-            // The profile is read under its own mutex: worker
-            // threads may be merging deltas concurrently.
-            std::unique_lock<std::mutex> plock(profileMu_);
-            std::vector<Trace> traces =
-                formTraces(f, *profile_, TraceOptions{});
-            TraceCache cache;
-            for (Trace &t : traces) {
-                BlockId head = blockId(t.head());
-                if (cache.lookup(t.head()) || traceHeads_.count(head))
-                    ++NumTraceCacheHits;
-                traceHeads_.insert(head);
-                cache.insert(t);
+    lastCoverage_ = cache.coverage(*profile_);
+    plock.unlock();
+    TraceCoveragePct += static_cast<uint64_t>(lastCoverage_ * 100.0);
+    if (opts_.printTraces) {
+        for (const Trace &t : cache.traces()) {
+            std::string line;
+            for (const BasicBlock *bb : t.blocks) {
+                if (!line.empty())
+                    line += " -> ";
+                line += bb->name();
             }
-            lastCoverage_ = cache.coverage(*profile_);
-            plock.unlock();
-            TraceCoveragePct +=
-                static_cast<uint64_t>(lastCoverage_ * 100.0);
-            if (opts_.printTraces) {
-                for (const Trace &t : cache.traces()) {
-                    std::string line;
-                    for (const BasicBlock *bb : t.blocks) {
-                        if (!line.empty())
-                            line += " -> ";
-                        line += bb->name();
-                    }
-                    std::fprintf(stderr,
-                                 "trace: %s: %s (head count %llu)\n",
-                                 f.name().c_str(), line.c_str(),
-                                 (unsigned long long)t.headCount);
-                }
-                std::fprintf(stderr,
-                             "trace: %s: coverage %.2f over %zu "
-                             "trace(s)\n",
-                             f.name().c_str(), lastCoverage_,
-                             cache.size());
-            }
-            applyTraceLayout(f, cache.traces());
-
-            if (hooks_.beforeCodegen)
-                hooks_.beforeCodegen(f, kTierTrace);
-            CodeGenStats stats;
-            mf = translateFunction(f, target_, opts_, &stats);
-            stats_.phiCopiesInserted += stats.phiCopiesInserted;
-            stats_.phiCopiesCoalesced += stats.phiCopiesCoalesced;
-            stats_.spillsInserted += stats.spillsInserted;
-            stats_.reloadsInserted += stats.reloadsInserted;
-        } catch (const std::exception &) {
-            mf.reset();
+            std::fprintf(stderr, "trace: %s: %s (head count %llu)\n",
+                         f.name().c_str(), line.c_str(),
+                         (unsigned long long)t.headCount);
         }
+        std::fprintf(stderr,
+                     "trace: %s: coverage %.2f over %zu trace(s)\n",
+                     f.name().c_str(), lastCoverage_, cache.size());
     }
-    pristine.restoreInto(f);
-    return mf;
+    applyTraceLayout(f, cache.traces());
 }
 
 size_t

@@ -348,16 +348,16 @@ class CodeManager
      *  (nullptr when pinned). Caller holds mu_ exclusively. */
     const MachineFunction *translateWithLadder(Function &f);
 
-    /** One rung: optimize (sandboxed) + codegen at \p level.
+    /** One rung: optimize (sandboxed) + codegen at \p level; at
+     *  kTierTrace (`-O<optLevel>+traces`) also form traces from the
+     *  attached profile and apply trace layout before codegen.
      *  Returns nullptr if this tier failed. Leaves the function body
      *  exactly as found. */
-    std::unique_ptr<MachineFunction> translateAtTier(Function &f,
-                                                     unsigned level);
+    std::unique_ptr<MachineFunction> translateRung(Function &f,
+                                                   unsigned level);
 
-    /** The `-O<level>+traces` rung: optimize, form traces from the
-     *  attached profile, apply trace layout, codegen. Returns
-     *  nullptr if the tier failed; the body is left as found. */
-    std::unique_ptr<MachineFunction> translateAtTraceTier(Function &f);
+    /** The trace tier's layout step over the optimized body. */
+    void layoutTraces(Function &f);
 
     // The following helpers assume mu_ is held exclusively.
     void invalidateLocked(const Function *f);

@@ -1,5 +1,8 @@
 #include "vm/interpreter.h"
 
+#include <pthread.h>
+
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -7,26 +10,19 @@
 #include "support/statistic.h"
 
 /**
- * Direct-threaded dispatch for the interpreter's inner loop. On
- * GCC/Clang each instruction dispatches through one computed goto
- * into a label table indexed by the Opcode value — no switch range
- * check, and the indirect jump gives the branch predictor one
- * prediction site per dispatch instead of a single shared one.
- * Elsewhere the same handler bodies compile as the classic switch.
- * OPCASE introduces a handler; NEXT_INSTR ends one (outer-level
- * `break`s of the old switch — nested switches keep theirs).
+ * Direct-threaded dispatch for the interpreter's inner loop: each
+ * instruction dispatches through one computed goto into a label
+ * table indexed by the Opcode value — no switch range check, and
+ * the indirect jump gives the branch predictor one prediction site
+ * per dispatch instead of a single shared one. OPCASE introduces a
+ * handler; NEXT_INSTR ends one (nested switches keep their own
+ * `break`s).
  */
-#if defined(__GNUC__) || defined(__clang__)
-#define LLVA_THREADED_INTERP 1
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the interpreter's computed-goto dispatch needs GCC or Clang"
 #endif
-
-#if defined(LLVA_THREADED_INTERP)
 #define OPCASE(name) op_##name:
 #define NEXT_INSTR goto llva_next_instr
-#else
-#define OPCASE(name) case Opcode::name:
-#define NEXT_INSTR break
-#endif
 
 namespace llva {
 
@@ -57,12 +53,51 @@ canonInt(uint64_t v, const Type *t)
 
 constexpr unsigned kMaxDepth = 2048;
 
+/** Host stack the interpreter always leaves free below a guest call:
+ *  room for one activation plus the runtime it calls into, however
+ *  large the host frames are (sanitizer builds inflate them). */
+constexpr uintptr_t kHostStackMargin = 256 * 1024;
+
+/**
+ * Lowest address a guest call may start at on this thread: the
+ * thread's stack base plus the margin (at most half the stack), or
+ * 0 when the stack bounds cannot be read.
+ */
+uintptr_t
+hostStackFloor()
+{
+    thread_local const uintptr_t floor = [] {
+        pthread_attr_t attr;
+        if (pthread_getattr_np(pthread_self(), &attr) != 0)
+            return uintptr_t(0);
+        void *base = nullptr;
+        size_t size = 0;
+        const int rc = pthread_attr_getstack(&attr, &base, &size);
+        pthread_attr_destroy(&attr);
+        if (rc != 0)
+            return uintptr_t(0);
+        return reinterpret_cast<uintptr_t>(base) +
+               std::min<uintptr_t>(kHostStackMargin, size / 2);
+    }();
+    return floor;
+}
+
+/** Whether the caller's frame sits below \p floor. Out of line so
+ *  the interpreter loop keeps its frame-pointer register free. */
+[[gnu::noinline]] bool
+belowHostStackFloor(uintptr_t floor)
+{
+    return reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) <
+           floor;
+}
+
 } // namespace
 
 ExecResult
 Interpreter::run(const Function *f, const std::vector<RtValue> &args)
 {
     executed_ = 0;
+    stackFloor_ = hostStackFloor();
     stackBrk_ = ctx_.memory().stackTop();
 
     CallOutcome out = call(f, args, 0);
@@ -108,6 +143,7 @@ Interpreter::invoke(const Function *f, const std::vector<RtValue> &args,
                     uint64_t stackBase)
 {
     executed_ = 0;
+    stackFloor_ = hostStackFloor();
     stackBrk_ = stackBase ? stackBase : ctx_.memory().stackTop();
 
     CallOutcome out = call(f, args, 0);
@@ -127,8 +163,10 @@ Interpreter::call(const Function *f, const std::vector<RtValue> &args,
     if (const Function *repl = ctx_.redirectFor(f))
         f = repl;
 
+    // Guest recursion recurses on the host: trap at the guest depth
+    // cap or when the host stack runs low, whichever comes first.
     CallOutcome out;
-    if (depth > kMaxDepth) {
+    if (depth > kMaxDepth || belowHostStackFloor(stackFloor_)) {
         out.trap = TrapKind::StackOverflow;
         return out;
     }
@@ -206,7 +244,6 @@ Interpreter::call(const Function *f, const std::vector<RtValue> &args,
             if (limit_ && executed_ > limit_)
                 fatal("interpreter instruction limit exceeded");
 
-#if defined(LLVA_THREADED_INTERP)
             // Handler-label table in Opcode order (&&label is the
             // GNU address-of-label extension).
             static const void *const kDispatch[kNumOpcodes] = {
@@ -222,9 +259,6 @@ Interpreter::call(const Function *f, const std::vector<RtValue> &args,
                 &&op_Phi,
             };
             goto *kDispatch[static_cast<unsigned>(inst->opcode())];
-#else
-            switch (inst->opcode()) {
-#endif
               OPCASE(Add)
               OPCASE(Sub)
               OPCASE(Mul)
@@ -632,13 +666,7 @@ Interpreter::call(const Function *f, const std::vector<RtValue> &args,
               }
               OPCASE(Phi)
                 panic("phi after firstNonPhi");
-#if defined(LLVA_THREADED_INTERP)
           llva_next_instr:;
-#else
-              default:
-                panic("unhandled opcode in interpreter");
-            }
-#endif
         }
         panic("block fell through without a terminator");
       next_block:;

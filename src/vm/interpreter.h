@@ -82,6 +82,9 @@ class Interpreter
     size_t executed_ = 0;
     size_t limit_ = 0;
     uint64_t stackBrk_ = 0;
+    /** Host stack address below which a guest call traps (read on
+     *  the thread that entered run()/invoke()). */
+    uintptr_t stackFloor_ = 0;
     EdgeProfile *profile_ = nullptr;
 };
 

@@ -8,6 +8,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include "parser/parser.h"
 #include "verifier/verifier.h"
@@ -454,9 +455,7 @@ entry:
     EXPECT_EQ(static_cast<int64_t>(r2.value.i), 2);
 }
 
-TEST(Exceptions, StackOverflowTrapsInsteadOfCrashing)
-{
-    auto m = parseAssembly(R"(
+constexpr const char *kInfiniteRecursion = R"(
 internal int %inf(int %n) {
 entry:
     %n1 = add int %n, 1
@@ -468,10 +467,41 @@ entry:
     %r = call int %inf(int 0)
     ret int %r
 }
-)").orDie();
+)";
+
+TEST(Exceptions, StackOverflowTrapsInsteadOfCrashing)
+{
+    auto m = parseAssembly(kInfiniteRecursion).orDie();
     verifyOrDie(*m);
     EXPECT_EQ(interpret(*m).trap, TrapKind::StackOverflow);
     EXPECT_EQ(simulate(*m, "sparc").trap, TrapKind::StackOverflow);
+}
+
+TEST(Exceptions, GuestRecursionTrapsBeforeSmallHostStackRunsOut)
+{
+    // The interpreter recurses on the host once per guest call. On a
+    // thread whose stack cannot hold the guest depth cap's worth of
+    // host frames, the headroom check must trap first.
+    auto m = parseAssembly(kInfiniteRecursion).orDie();
+    verifyOrDie(*m);
+    struct Job
+    {
+        Module *m;
+        TrapKind trap = TrapKind::None;
+    } job{m.get()};
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    pthread_attr_setstacksize(&attr, 512 * 1024);
+    pthread_t thread;
+    auto body = [](void *p) -> void * {
+        auto *j = static_cast<Job *>(p);
+        j->trap = interpret(*j->m).trap;
+        return nullptr;
+    };
+    ASSERT_EQ(pthread_create(&thread, &attr, body, &job), 0);
+    pthread_join(thread, nullptr);
+    pthread_attr_destroy(&attr);
+    EXPECT_EQ(job.trap, TrapKind::StackOverflow);
 }
 
 TEST(Exceptions, BadIndirectCallTraps)

@@ -2,7 +2,7 @@
  * @file
  * Fault containment and tiered degradation: the pass sandbox
  * (snapshot / guard / budget / restore), the -O2 -> -O1 -> -O0 ->
- * interpreter ladder, the envelope-cached achieved tier, the
+ * interpreter ladder (each rung one transaction over one snapshot), the envelope-cached achieved tier, the
  * verify-each and -opt-bisect-limit localization aids, and the
  * AnalysisManager preservation audit. Faults are injected through
  * the TranslationHooks test seams and deliberately broken test-only
@@ -541,6 +541,185 @@ TEST(TierLadder, LadderLeavesBytecodeBodyUntouched)
     // Optimization happened on a scratch body; the persistent
     // representation is untouched.
     EXPECT_EQ(m->str(), before);
+}
+
+// --- One transaction per ladder rung -----------------------------------
+
+namespace {
+
+/** A fault injected into a rung's pipeline through the ladder hooks. */
+struct RungFault
+{
+    const char *name;
+    void (*install)(PassManager &pm);
+    bool budget; ///< contained as a budget overrun
+};
+
+const RungFault kRungFaults[] = {
+    {"mutate-then-throw",
+     [](PassManager &pm) {
+         pm.add(std::make_unique<MutateThenThrowPass>());
+     },
+     false},
+    {"growth-budget",
+     [](PassManager &pm) {
+         PassBudget budget;
+         budget.maxGrowth = 1.5;
+         budget.growthFloor = 4;
+         pm.setBudget(budget);
+         pm.add(std::make_unique<BloatPass>(100));
+     },
+     true},
+    {"verify-each",
+     [](PassManager &pm) {
+         pm.setVerifyEach(true);
+         pm.add(std::make_unique<CorruptIRPass>());
+     },
+     false},
+};
+
+/** Hooks that inject \p fault into the rung at \p level, followed by
+ *  two passes the rung must never reach once the fault is contained. */
+TranslationHooks
+faultAt(const RungFault &fault, unsigned level)
+{
+    TranslationHooks hooks;
+    hooks.extendPipeline = [&fault, level](PassManager &pm,
+                                           unsigned rung) {
+        if (rung != level)
+            return;
+        fault.install(pm);
+        pm.add(createInstCombinePass());
+        pm.add(createGVNPass());
+    };
+    return hooks;
+}
+
+/** pass.applications spent translating \p name fault-free at -O<level>. */
+uint64_t
+cleanApplications(unsigned level, const char *name)
+{
+    auto m = parseProgram();
+    CodeGenOptions opts;
+    opts.optLevel = level;
+    CodeManager cm(*getTarget("x86"), opts);
+    uint64_t before = stats::value("pass.applications");
+    EXPECT_NE(cm.get(m->getFunction(name)), nullptr);
+    return stats::value("pass.applications") - before;
+}
+
+/** The counters one rung transaction moves, read at construction. */
+struct RungCounters
+{
+    uint64_t applications = stats::value("pass.applications");
+    uint64_t contained = stats::value("passes.contained_failures");
+    uint64_t budget = stats::value("passes.budget_exceeded");
+    uint64_t snapshots = stats::value("ir.snapshots_captured");
+};
+
+void
+expectMatchesInterpreter(Module &m, CodeManager &cm, const Baseline &ref)
+{
+    ExecutionContext ctx(m);
+    MachineSimulator sim(ctx, cm);
+    auto r = sim.run(m.getFunction("main"));
+    ASSERT_TRUE(r.ok()) << trapKindName(r.trap);
+    EXPECT_EQ(r.value.i, ref.value);
+    EXPECT_EQ(ctx.output(), ref.output);
+}
+
+} // namespace
+
+TEST(LadderRung, O2TranslationTakesExactlyOneSnapshot)
+{
+    auto m = parseProgram();
+    CodeGenOptions opts;
+    opts.optLevel = 2;
+    CodeManager cm(*getTarget("x86"), opts);
+    for (const char *name : {"helper", "main"}) {
+        uint64_t before = stats::value("ir.snapshots_captured");
+        ASSERT_NE(cm.get(m->getFunction(name)), nullptr) << name;
+        EXPECT_EQ(stats::value("ir.snapshots_captured") - before, 1u)
+            << name;
+    }
+}
+
+TEST(LadderRung, FaultAtO2AbandonsTheRungAndRestoresTheBody)
+{
+    const uint64_t o2 = cleanApplications(2, "helper");
+    const uint64_t o1 = cleanApplications(1, "helper");
+    for (const RungFault &fault : kRungFaults) {
+        SCOPED_TRACE(fault.name);
+        auto m = parseProgram();
+        Baseline ref = interpret(*m);
+        const std::string pristine = m->str();
+
+        CodeGenOptions opts;
+        opts.optLevel = 2;
+        CodeManager cm(*getTarget("x86"), opts);
+        cm.setHooks(faultAt(fault, 2));
+        const Function *helper = m->getFunction("helper");
+
+        RungCounters before;
+        ASSERT_NE(cm.get(helper), nullptr);
+        RungCounters after;
+
+        EXPECT_EQ(cm.tierOf(helper), 1);
+        EXPECT_EQ(cm.tierDowngrades(), 1u);
+        EXPECT_EQ(m->str(), pristine);
+        EXPECT_EQ(after.contained - before.contained, 1u);
+        EXPECT_EQ(after.budget - before.budget, fault.budget ? 1u : 0u);
+        // The -O2 rung stopped at the fault (its two trailing passes
+        // never ran); the -O1 rung ran in full.
+        EXPECT_EQ(after.applications - before.applications, o2 + 1 + o1);
+        // One pristine snapshot per rung, none per pass.
+        EXPECT_EQ(after.snapshots - before.snapshots, 2u);
+
+        expectMatchesInterpreter(*m, cm, ref);
+    }
+}
+
+TEST(LadderRung, FaultingPromotionKeepsO2BodyAndRestoresTheIR)
+{
+    const uint64_t o2 = cleanApplications(2, "main");
+    for (const RungFault &fault : kRungFaults) {
+        SCOPED_TRACE(fault.name);
+        auto m = parseProgram();
+        Baseline ref = interpret(*m);
+        const std::string pristine = m->str();
+        EdgeProfile profile;
+        {
+            ExecutionContext ctx(*m);
+            Interpreter interp(ctx);
+            interp.setProfile(&profile);
+            ASSERT_TRUE(interp.run(m->getFunction("main")).ok());
+        }
+
+        CodeGenOptions opts;
+        opts.optLevel = 2;
+        CodeManager cm(*getTarget("x86"), opts);
+        cm.setHooks(faultAt(fault, kTierTrace));
+        cm.setAdaptive(&profile, 1, nullptr);
+        const Function *main_fn = m->getFunction("main");
+        const MachineFunction *body = cm.get(main_fn);
+        ASSERT_NE(body, nullptr);
+
+        RungCounters before;
+        EXPECT_FALSE(cm.maybePromote(body));
+        RungCounters after;
+
+        EXPECT_EQ(cm.promotions(), 0u);
+        EXPECT_EQ(cm.promotionFailures(), 1u);
+        EXPECT_EQ(cm.tierOf(main_fn), 2);
+        EXPECT_EQ(cm.get(main_fn), body);
+        EXPECT_EQ(m->str(), pristine);
+        EXPECT_EQ(after.contained - before.contained, 1u);
+        EXPECT_EQ(after.budget - before.budget, fault.budget ? 1u : 0u);
+        EXPECT_EQ(after.applications - before.applications, o2 + 1);
+        EXPECT_EQ(after.snapshots - before.snapshots, 1u);
+
+        expectMatchesInterpreter(*m, cm, ref);
+    }
 }
 
 // --- Interpreter as tier of last resort --------------------------------

@@ -104,7 +104,7 @@ TEST(Trace, StableIdsSurviveSnapshotRestore)
     EXPECT_EQ(traces.front().head(), f->findBlock("head"));
 }
 
-TEST(Trace, DeprecatedPointerApiIsChecked)
+TEST(Trace, BlockPointerLookupsAreChecked)
 {
     auto m = parseAssembly(kBiasedLoop).orDie();
     Function *f = m->getFunction("main");
@@ -114,16 +114,14 @@ TEST(Trace, DeprecatedPointerApiIsChecked)
     interp.setProfile(&profile);
     interp.run(f);
 
-    // The deprecated shims still answer (through stable IDs)...
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_EQ(profile.at(f->findBlock("head")), 1000u);
-    EXPECT_EQ(profile.at(f->findBlock("head"), f->findBlock("hot")),
+    // Block-pointer lookups answer through stable IDs...
+    EXPECT_EQ(profile.blockCount(f->findBlock("head")), 1000u);
+    EXPECT_EQ(profile.edgeCount(f->findBlock("head"),
+                                f->findBlock("hot")),
               990u);
-#pragma GCC diagnostic pop
 
     // ...and asking for the ID of a detached block — the situation
-    // the pointer-keyed profile silently corrupted on — panics
+    // a pointer-keyed profile silently corrupted on — panics
     // instead of reading freed memory.
     BasicBlock detached(f->functionType()->context(), "orphan");
     EXPECT_DEATH(blockId(&detached), "detached basic block");
