@@ -1,12 +1,10 @@
 /**
  * @file
  * Execution throughput: instructions per second of the simulated
- * processor under the two dispatch engines — the legacy per-
- * instruction switch (state reset + virtual execute into the
- * generic handlers, names rehashed on every profile event) and the
- * direct-threaded engine (cached operand-specialized handler
- * pointers, chained trace-tier superblocks, translation-time block
- * IDs). Every configuration runs warm: an adaptive first pass
+ * processor (cached operand-specialized handler pointers, chained
+ * trace-tier superblocks, translation-time block IDs), with exact
+ * and with sampled profile counters. Every configuration runs warm:
+ * an adaptive first pass
  * promotes the hot functions to -O2+traces, then the timed runs
  * execute from the same code cache with profiling left on — the
  * whole point of making profiling cheap is never switching it off.
@@ -91,9 +89,7 @@ timeTrials(Run runOnce)
 }
 
 Measured
-measureSim(Module &m, Target &target,
-           MachineSimulator::Dispatch dispatch,
-           uint64_t sampleInterval = 1)
+measureSim(Module &m, Target &target, uint64_t sampleInterval = 1)
 {
     CodeManager cm(target, adaptiveOpts());
     EdgeProfile profile;
@@ -104,7 +100,6 @@ measureSim(Module &m, Target &target,
     {
         ExecutionContext ctx(m);
         MachineSimulator sim(ctx, cm);
-        sim.setDispatch(dispatch);
         sim.setProfile(&profile);
         auto r = sim.run(m.getFunction("main"));
         if (!r.ok())
@@ -118,7 +113,6 @@ measureSim(Module &m, Target &target,
     out.ips = timeTrials([&] {
         ExecutionContext ctx(m);
         MachineSimulator sim(ctx, cm);
-        sim.setDispatch(dispatch);
         sim.setProfile(&profile);
         sim.setProfileSampleInterval(sampleInterval);
         Timer t;
@@ -157,18 +151,17 @@ measureInterp(Module &m)
 int
 main(int argc, char **argv)
 {
-    std::printf("Execution throughput: switch dispatch vs direct-"
-                "threaded + chained superblocks (warm -O2+traces, "
-                "profiling on)\n");
+    std::printf("Execution throughput: direct-threaded + chained "
+                "superblocks (warm -O2+traces, profiling on)\n");
     hr('=');
-    std::printf("%-18s %11s %11s %11s %11s %8s %13s %7s\n", "Program",
-                "interp(M/s)", "switch(M/s)", "thread(M/s)",
-                "+smpl(M/s)", "speedup", "range", "chains");
+    std::printf("%-18s %11s %11s %11s %15s %7s\n", "Program",
+                "interp(M/s)", "thread(M/s)", "+smpl(M/s)",
+                "+smpl min-max", "chains");
     hr();
 
-    // The full new engine samples its always-on profile (every Nth
-    // event, weight N — totals stay in execution units, so the
-    // promotion watermark needs no rescaling).
+    // The always-on profile can also be sampled (every Nth event,
+    // weight N — totals stay in execution units, so the promotion
+    // watermark needs no rescaling).
     constexpr uint64_t kSampleInterval = 32;
 
     Target &target = *getTarget("x86");
@@ -177,32 +170,22 @@ main(int argc, char **argv)
         auto m = prepared(info);
 
         Measured in = measureInterp(*m);
-        Measured sw = measureSim(
-            *m, target, MachineSimulator::Dispatch::Switch);
-        Measured th = measureSim(
-            *m, target, MachineSimulator::Dispatch::Threaded);
-        Measured ts = measureSim(
-            *m, target, MachineSimulator::Dispatch::Threaded,
-            kSampleInterval);
-        if (sw.value != th.value || sw.output != th.output ||
-            ts.value != th.value || ts.output != th.output)
-            fatal("dispatch divergence in %s", info.name.c_str());
+        Measured th = measureSim(*m, target);
+        Measured ts = measureSim(*m, target, kSampleInterval);
+        if (th.value != in.value || th.output != in.output ||
+            ts.value != in.value || ts.output != in.output)
+            fatal("simulator diverges from the interpreter in %s",
+                  info.name.c_str());
 
-        // Speedups compare medians; the range pairs the slowest
-        // +smpl trial with the fastest switch trial and vice versa.
-        double speedupExact = th.ips.median / sw.ips.median;
-        double speedup = ts.ips.median / sw.ips.median;
-        double speedupLo = ts.ips.min / sw.ips.max;
-        double speedupHi = ts.ips.max / sw.ips.min;
-        std::printf("%-18s %11.2f %11.2f %11.2f %11.2f %7.2fx "
-                    "%5.2f-%5.2fx %7zu\n",
+        char range[32];
+        std::snprintf(range, sizeof range, "%.1f-%.1f",
+                      ts.ips.min / 1e6, ts.ips.max / 1e6);
+        std::printf("%-18s %11.2f %11.2f %11.2f %15s %7zu\n",
                     info.name.c_str(), in.ips.median / 1e6,
-                    sw.ips.median / 1e6, th.ips.median / 1e6,
-                    ts.ips.median / 1e6, speedup, speedupLo,
-                    speedupHi, ts.chained);
+                    th.ips.median / 1e6, ts.ips.median / 1e6, range,
+                    ts.chained);
         report.beginRow().field("program", info.name);
         for (auto [col, ms] : {std::pair{"interp", &in},
-                               std::pair{"switch", &sw},
                                std::pair{"threaded", &th},
                                std::pair{"threaded_sampled", &ts}}) {
             std::string key = std::string(col) + "_ips";
@@ -210,11 +193,7 @@ main(int argc, char **argv)
                 .field(key + "_min", ms->ips.min)
                 .field(key + "_max", ms->ips.max);
         }
-        report.field("speedup_exact_profile", speedupExact)
-            .field("speedup", speedup)
-            .field("speedup_min", speedupLo)
-            .field("speedup_max", speedupHi)
-            .field("promotions", double(ts.promotions))
+        report.field("promotions", double(ts.promotions))
             .field("chained_functions", double(ts.chained));
     }
     hr();
@@ -223,13 +202,11 @@ main(int argc, char **argv)
                 "clock second, timed warm (translations cached, "
                 "hot functions already at -O2+traces), profiling "
                 "on; each figure is the median of %d trials of "
-                ">= %.2f s (JSON: *_ips median, *_min/*_max). switch = legacy "
-                "engine on the generic handlers (exact counts, "
-                "rehashed IDs); thread = direct-threaded + chained "
-                "superblocks with operand-specialized handlers, "
-                "exact counts; +smpl adds 1-in-%llu sampled "
-                "counters. speedup = +smpl/switch medians; range = "
-                "min/max trial pairing.\n",
+                ">= %.2f s (JSON: *_ips median, *_min/*_max). "
+                "interp = reference interpreter; thread = "
+                "direct-threaded + chained superblocks with "
+                "operand-specialized handlers, exact counts; +smpl "
+                "adds 1-in-%llu sampled counters.\n",
                 kTrials, kTrialSeconds,
                 (unsigned long long)kSampleInterval);
 
@@ -238,26 +215,8 @@ main(int argc, char **argv)
     return 0;
 }
 
-// Timed: one warm run of the first workload under each dispatch
-// engine, for `--benchmark_filter` style comparisons.
-static void
-BM_SwitchDispatch(benchmark::State &state)
-{
-    auto m = prepared(allWorkloads()[0]);
-    CodeManager cm(*getTarget("x86"), adaptiveOpts());
-    EdgeProfile profile;
-    cm.setAdaptive(&profile, 500);
-    for (auto _ : state) {
-        ExecutionContext ctx(*m);
-        MachineSimulator sim(ctx, cm);
-        sim.setDispatch(MachineSimulator::Dispatch::Switch);
-        sim.setProfile(&profile);
-        benchmark::DoNotOptimize(
-            sim.run(m->getFunction("main")).value.i);
-    }
-}
-BENCHMARK(BM_SwitchDispatch);
-
+// Timed: one warm run of the first workload, for
+// `--benchmark_filter` style comparisons.
 static void
 BM_ThreadedDispatch(benchmark::State &state)
 {
@@ -268,7 +227,6 @@ BM_ThreadedDispatch(benchmark::State &state)
     for (auto _ : state) {
         ExecutionContext ctx(*m);
         MachineSimulator sim(ctx, cm);
-        sim.setDispatch(MachineSimulator::Dispatch::Threaded);
         sim.setProfile(&profile);
         benchmark::DoNotOptimize(
             sim.run(m->getFunction("main")).value.i);

@@ -3,9 +3,9 @@
 
     python3 bench/throughput_table.py [BENCH_throughput.json]
 
-Prints one Markdown row per program: the median IPS of each engine
-in M/s with its min-max over the timed trials, and the +smpl/switch
-speedup of the medians with its min-max trial pairing.
+Prints one Markdown row per program: the median IPS of the
+interpreter and of the simulator (exact and sampled profile counts)
+in M/s, each with its min-max over the timed trials.
 """
 
 import json
@@ -23,15 +23,14 @@ def main():
     path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_throughput.json"
     with open(path) as f:
         rows = json.load(f)["rows"]
-    print("| Program | interp (M/s) | switch, generic handlers (M/s) "
-          "| threaded (M/s) | +sample 32 (M/s) | speedup |")
-    print("|---------|-------------:|-------------:|---------------:"
-          "|-----------------:|--------:|")
+    print("| Program | interp (M/s) | threaded (M/s) "
+          "| +sample 32 (M/s) |")
+    print("|---------|-------------:|---------------:"
+          "|-----------------:|")
     for r in rows:
-        print("| %s | %s | %s | %s | %s | %.2f× (%.2f–%.2f×) |" % (
-            r["program"], cell(r, "interp"), cell(r, "switch"),
-            cell(r, "threaded"), cell(r, "threaded_sampled"),
-            r["speedup"], r["speedup_min"], r["speedup_max"]))
+        print("| %s | %s | %s | %s |" % (
+            r["program"], cell(r, "interp"), cell(r, "threaded"),
+            cell(r, "threaded_sampled")))
 
 
 if __name__ == "__main__":

@@ -101,16 +101,6 @@ struct SimState
     TrapKind trapKind = TrapKind::None;
 
     void
-    reset()
-    {
-        next = Next::Fall;
-        branchTarget = nullptr;
-        callTarget = nullptr;
-        callAddr = 0;
-        trapKind = TrapKind::None;
-    }
-
-    void
     trap(TrapKind k)
     {
         next = Next::Trap;
@@ -166,21 +156,17 @@ class Target
     virtual std::vector<uint8_t> encode(const MachineInstr &mi)
         const = 0;
 
-    /** Execute one instruction against the architectural state. */
-    virtual void execute(const MachineInstr &mi, SimState &state)
-        const = 0;
-
     /**
-     * The direct-threaded dispatch handler for \p mi: a free
-     * function implementing exactly what execute() would do for
-     * this instruction. It may be specialized to \p mi's operand
-     * kinds and width, so it is chosen per instruction, not per
-     * opcode. Handlers assume the driver set state.next =
-     * Fall before the call (no full reset()): every consumer field
-     * (branchTarget, callTarget/callAddr, trapKind) is written by
-     * the handler that requests the corresponding Next value, so
-     * stale values are never observed. The simulator caches the
-     * result on the instruction (MachineInstr::exec).
+     * The execution semantics of \p mi: a free function that runs
+     * the instruction against the architectural state. It may be
+     * specialized to \p mi's operand kinds and width, so it is
+     * chosen per instruction, not per opcode. Handlers assume the
+     * driver set state.next = Fall before the call and cleared
+     * nothing else: every consumer field (branchTarget,
+     * callTarget/callAddr, trapKind) is written by the handler that
+     * requests the corresponding Next value, so stale values are
+     * never observed. The simulator caches the result on the
+     * instruction (MachineInstr::exec).
      */
     virtual ExecFn handlerFor(const MachineInstr &mi) const = 0;
 

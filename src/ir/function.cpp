@@ -1,7 +1,6 @@
 #include "ir/function.h"
 
 #include <map>
-#include <set>
 
 #include "ir/instructions.h"
 #include "ir/module.h"
@@ -126,36 +125,6 @@ Function::instructionCount() const
     for (const auto &bb : blocks_)
         n += bb->size();
     return n;
-}
-
-void
-Function::renumberValues()
-{
-    std::set<std::string> taken;
-    unsigned slot = 0;
-
-    auto assign = [&](Value *v, bool needs_name) {
-        if (!needs_name) {
-            return;
-        }
-        std::string base = v->name();
-        if (base.empty())
-            base = std::to_string(slot++);
-        std::string name = base;
-        unsigned suffix = 0;
-        while (taken.count(name))
-            name = base + "." + std::to_string(++suffix);
-        taken.insert(name);
-        v->setName(name);
-    };
-
-    for (auto &arg : args_)
-        assign(arg.get(), true);
-    for (auto &bb : blocks_) {
-        assign(bb.get(), true);
-        for (auto &inst : *bb)
-            assign(inst.get(), !inst->type()->isVoid());
-    }
 }
 
 } // namespace llva

@@ -109,12 +109,6 @@ class Function : public Constant
     /** Total instruction count across all blocks. */
     size_t instructionCount() const;
 
-    /**
-     * Assign unique printable names: unnamed values get %N slots,
-     * duplicate names get numeric suffixes. Used by printer/bytecode.
-     */
-    void renumberValues();
-
     static bool
     classof(const Value *v)
     {

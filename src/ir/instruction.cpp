@@ -83,41 +83,10 @@ Instruction::successor(unsigned i) const
 }
 
 void
-Instruction::replaceSuccessor(BasicBlock *from, BasicBlock *to)
-{
-    for (size_t i = 0, e = numOperands(); i != e; ++i)
-        if (operand(i) == static_cast<Value *>(from) &&
-            operand(i)->valueKind() == ValueKind::BasicBlock)
-            setOperand(i, to);
-}
-
-void
 Instruction::eraseFromParent()
 {
     LLVA_ASSERT(parent_, "instruction has no parent");
     parent_->erase(this);
-}
-
-void
-Instruction::removeFromParent()
-{
-    LLVA_ASSERT(parent_, "instruction has no parent");
-    parent_->remove(this).release();
-    parent_ = nullptr;
-}
-
-Opcode
-SetCondInst::inverse(Opcode op)
-{
-    switch (op) {
-      case Opcode::SetEQ: return Opcode::SetNE;
-      case Opcode::SetNE: return Opcode::SetEQ;
-      case Opcode::SetLT: return Opcode::SetGE;
-      case Opcode::SetGT: return Opcode::SetLE;
-      case Opcode::SetLE: return Opcode::SetGT;
-      case Opcode::SetGE: return Opcode::SetLT;
-      default: panic("inverse() of non-comparison opcode");
-    }
 }
 
 Opcode

@@ -156,13 +156,9 @@ class Instruction : public User
     unsigned numSuccessors() const;
     /** Successor block \p i of a terminator. */
     BasicBlock *successor(unsigned i) const;
-    /** Rewrite any successor slot equal to \p from to \p to. */
-    void replaceSuccessor(BasicBlock *from, BasicBlock *to);
 
     /** Unlink from the parent block and destroy. */
     void eraseFromParent();
-    /** Unlink from the parent block without destroying. */
-    void removeFromParent();
 
     /** Deep copy with identical operands (caller fixes names/SSA). */
     virtual Instruction *clone() const = 0;

@@ -67,8 +67,6 @@ class SetCondInst : public Instruction
     Value *lhs() const { return operand(0); }
     Value *rhs() const { return operand(1); }
 
-    /** seteq -> setne, setlt -> setge, etc. */
-    static Opcode inverse(Opcode op);
     /** setlt -> setgt (operand swap), seteq -> seteq, etc. */
     static Opcode swapped(Opcode op);
 

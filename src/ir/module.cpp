@@ -181,18 +181,6 @@ Module::constantString(const std::string &data, bool nul)
     return c;
 }
 
-Constant *
-Module::zeroOf(Type *type)
-{
-    if (type->isInteger() || type->isBool())
-        return constantInt(type, 0);
-    if (type->isFloatingPoint())
-        return constantFP(type, 0.0);
-    if (auto *pt = dyn_cast<PointerType>(type))
-        return constantNull(const_cast<PointerType *>(pt));
-    panic("zeroOf: type %s has no zero constant", type->str().c_str());
-}
-
 size_t
 Module::instructionCount() const
 {

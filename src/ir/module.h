@@ -92,9 +92,6 @@ class Module
     ConstantString *constantString(const std::string &data,
                                    bool nul = true);
 
-    /** The zero/null constant of any first-class type. */
-    Constant *zeroOf(Type *type);
-
     // --- Convenience ---------------------------------------------------
 
     /** Sum of instructionCount over all defined functions. */

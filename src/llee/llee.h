@@ -79,11 +79,6 @@ class LLEE
      * only the wall-clock cost changes.
      */
     void setJobs(unsigned jobs) { jobs_ = jobs ? jobs : 1; }
-    unsigned jobs() const { return jobs_; }
-
-    /** Inner-loop dispatch strategy of the simulated processor
-     *  (default: direct-threaded with superblock chaining). */
-    void setDispatch(MachineSimulator::Dispatch d) { dispatch_ = d; }
 
     /** Sampled profiling: record every Nth block event with weight
      *  N (1 = exact counting). See MachineSimulator. */
@@ -156,8 +151,6 @@ class LLEE
     CodeGenOptions opts_;
     TranslationHooks hooks_;
     unsigned jobs_ = 1;
-    MachineSimulator::Dispatch dispatch_ =
-        MachineSimulator::Dispatch::Threaded;
     uint64_t sampleInterval_ = 1;
 };
 

@@ -173,8 +173,8 @@ hCall(const MachineInstr &mi, SimState &state)
     if (mi.ops[0].kind == MOperand::Func) {
         state.callTarget = mi.ops[0].func;
     } else {
-        // Without a full reset() a stale direct-call target would
-        // shadow the indirect address, so clear it explicitly.
+        // The driver re-arms only state.next, so a stale direct-call
+        // target would shadow the indirect address: clear it.
         state.callTarget = nullptr;
         state.callAddr = state.ireg[mi.ops[0].reg];
     }
@@ -228,9 +228,9 @@ hSpAdj(const MachineInstr &mi, SimState &state)
 // (for ALU ops and setcc) operation fixed at handler-selection time,
 // so the handler neither re-decodes mi.ops nor switches on an
 // operation, operand kind or access width. Each computes exactly
-// what the generic handler it replaces computes for that shape;
-// execute() (the switch engine) keeps the generic handlers, so the
-// threaded-vs-switch differential checks one against the other.
+// what the generic handler it replaces computes for that shape
+// (tests/test_dispatch.cpp, SpecializedHandlers, checks each one
+// against genericHandlerFor on random states).
 
 /** Value of a Reg (B == Reg) or Imm integer operand. */
 template <MOperand::Kind B>

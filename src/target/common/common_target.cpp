@@ -241,12 +241,6 @@ CommonTarget::handlerFor(const MachineInstr &mi) const
     return fn ? fn : generic;
 }
 
-void
-CommonTarget::execute(const MachineInstr &mi, SimState &state) const
-{
-    genericHandlerFor(mi)(mi, state);
-}
-
 std::vector<uint8_t>
 CommonTarget::encode(const MachineInstr &mi) const
 {

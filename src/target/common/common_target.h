@@ -70,17 +70,15 @@ class CommonTarget : public Target
 
     std::vector<uint8_t> encode(const MachineInstr &mi)
         const override;
-    void execute(const MachineInstr &mi, SimState &state)
-        const override;
     /** The operand-specialized handler (common_exec.h) when \p
      *  mi's operand kinds and width have one, else the generic
      *  one. */
     ExecFn handlerFor(const MachineInstr &mi) const override;
 
     /** The generic handler of \p mi's opcode (its table row or
-     *  generic-pseudo handler), whatever the operands: what
-     *  execute() runs, and the reference the specialized handlers
-     *  are checked against. */
+     *  generic-pseudo handler), whatever the operands: the
+     *  fallback of handlerFor() and the reference the specialized
+     *  handlers are checked against. */
     ExecFn genericHandlerFor(const MachineInstr &mi) const;
 
     void writeArgs(SimState &state, const FunctionType *ft,

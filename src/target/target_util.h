@@ -381,53 +381,11 @@ execExt(const MachineInstr &mi, SimState &state)
         normInt(state.ireg[mi.ops[1].reg], mi.width, mi.signExt);
 }
 
-// --- Generic pseudos -------------------------------------------------------
-
-/**
- * Execute the target-independent pseudos (copies, spill code, frame
- * address, dynamic alloca). Returns false if \p mi is not generic.
- */
-inline bool
-execGeneric(const MachineInstr &mi, SimState &state)
-{
-    switch (mi.opcode) {
-      case kOpCopy: {
-        unsigned dst = mi.ops[0].reg;
-        if (isFPReg(dst))
-            state.freg[dst - 32] = operandFPValue(mi.ops[1], state);
-        else
-            state.ireg[dst] = operandIntValue(mi.ops[1], state);
-        return true;
-      }
-      case kOpSpill:
-        execSlotStore(mi.ops[0].reg, mi.ops[1].imm, state);
-        return true;
-      case kOpReload:
-        execSlotLoad(mi.ops[0].reg, mi.ops[1].imm, state);
-        return true;
-      case kOpFrameAddr:
-        state.ireg[mi.ops[0].reg] =
-            state.sp + static_cast<uint64_t>(mi.ops[1].imm);
-        return true;
-      case kOpDynAlloca: {
-        uint64_t size = state.ireg[mi.ops[1].reg];
-        uint64_t p = state.mem->malloc(size ? size : 1);
-        if (!p) {
-            state.trap(TrapKind::StackOverflow);
-            return true;
-        }
-        state.ireg[mi.ops[0].reg] = p;
-        return true;
-      }
-      default: return false;
-    }
-}
-
 // --- Generic dispatch handlers ---------------------------------------------
 //
-// The direct-threaded forms of the generic pseudos: one free
-// function per opcode, shared by every target's handlerFor(). Each
-// is exactly the matching execGeneric() case.
+// The target-independent pseudos (copies, spill code, frame address,
+// dynamic alloca): one free function per opcode, shared by every
+// target's handlerFor().
 
 inline void
 hdlCopy(const MachineInstr &mi, SimState &state)

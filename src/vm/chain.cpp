@@ -63,12 +63,6 @@ ChainedFunction::buildBlock(MachineBasicBlock *mbb)
 }
 
 ChainedBlock *
-ChainedFunction::entry()
-{
-    return blockFor(mf_->blocks().front().get());
-}
-
-ChainedBlock *
 ChainedFunction::linkFallthrough(ChainedBlock *cb)
 {
     size_t next = cb->mbb->index() + 1;

@@ -92,9 +92,6 @@ class ChainedFunction
     /** Chained form of \p mbb, building it on first use. */
     ChainedBlock *blockFor(MachineBasicBlock *mbb);
 
-    /** Chained entry block. */
-    ChainedBlock *entry();
-
     /** Resolve + patch the fallthrough successor of \p cb (the next
      *  block in layout order, the elided-jump convention). */
     ChainedBlock *linkFallthrough(ChainedBlock *cb);

@@ -434,13 +434,6 @@ CodeManager::mergeProfile(const EdgeProfile &delta)
         profile_->merge(delta);
 }
 
-EdgeProfile
-CodeManager::profileSnapshot() const
-{
-    std::lock_guard<std::mutex> plock(profileMu_);
-    return profile_ ? *profile_ : EdgeProfile{};
-}
-
 bool
 CodeManager::maybePromote(const MachineFunction *running)
 {

@@ -267,9 +267,6 @@ class CodeManager
      *  samples here so promotion sees fleet-wide heat. */
     void mergeProfile(const EdgeProfile &delta);
 
-    /** Copy of the attached master profile (empty if none). */
-    EdgeProfile profileSnapshot() const;
-
     // --- Superblock chaining ----------------------------------------------
 
     /**

@@ -220,11 +220,8 @@ MachineSimulator::runInternal(const Function *f,
         block = mf->blocks().front().get();
     }
 
-    const bool threaded = dispatch_ == Dispatch::Threaded;
-
     // Superblock chaining state: non-null while the current frame
-    // runs the live trace-tier body of its function under threaded
-    // dispatch.
+    // runs the live trace-tier body of its function.
     ChainedFunction *chain = nullptr;
     ChainedBlock *cb = nullptr;
 
@@ -233,49 +230,41 @@ MachineSimulator::runInternal(const Function *f,
     // blocks' names, so these are the same stable IDs the trace
     // formation resolves on the IR. `from == nullptr` marks entries
     // with no intra-function predecessor (call dispatch, invoke
-    // resumption). Threaded dispatch uses the hashes cached at
-    // translation time; the legacy engine keeps its original
-    // rehash-per-event cost as the measurable baseline. Events are
-    // recorded every sampleInterval_-th occurrence with matching
-    // weight, so totals stay in execution units. Returns whether a
-    // sample was recorded: only then can a count have crossed the
-    // promotion watermark.
+    // resumption). The IDs are the name hashes cached at
+    // translation time. Events are recorded every
+    // sampleInterval_-th occurrence with matching weight, so totals
+    // stay in execution units. Returns whether a sample was
+    // recorded: only then can a count have crossed the promotion
+    // watermark. This hook and syncChain below stay out of line:
+    // inlined at each of their call sites they grow this function
+    // enough that the superblock loop's locals lose their registers
+    // (GCC 12 -O3 on a 4-vCPU Xeon: ~10% fewer simulated
+    // instructions per second on perfbench hot_loop).
     auto noteBlock = [&](const MachineFunction *in,
                          const MachineBasicBlock *from,
-                         const MachineBasicBlock *to) {
+                         const MachineBasicBlock *to)
+        __attribute__((noinline)) {
         if (!profile_)
             return false;
         if (--sampleCountdown_)
             return false;
         sampleCountdown_ = sampleInterval_;
-        if (threaded) {
-            profile_->noteId(
-                from ? BlockId{in->nameHash(), from->nameHash()}
-                     : BlockId{},
-                BlockId{in->nameHash(), to->nameHash()},
-                sampleInterval_);
-        } else {
-            uint64_t fnHash = functionId(in->name());
-            profile_->noteId(
-                from ? BlockId{fnHash, fnv1a(from->name())}
-                     : BlockId{},
-                BlockId{fnHash, fnv1a(to->name())}, sampleInterval_);
-        }
+        profile_->noteId(
+            from ? BlockId{in->nameHash(), from->nameHash()}
+                 : BlockId{},
+            BlockId{in->nameHash(), to->nameHash()}, sampleInterval_);
         NumProfileSamples += sampleInterval_;
         return true;
     };
-
 
     // Re-derive the chaining state after any control transfer that
     // may have changed the current function (call, return, unwind)
     // or retired its body (SMC invalidation, promotion). Only the
     // *live* body of a trace-tier function chains: a retired body
     // keeps executing, unchained, until its activation ends.
-    auto syncChain = [&]() {
+    auto syncChain = [&]() __attribute__((noinline)) {
         chain = nullptr;
         cb = nullptr;
-        if (!threaded)
-            return;
         // Fast path for the steady state (every call/return runs
         // through here): one lookup resolves an already-built live
         // chain. The tier + installed-body checks only run when
@@ -345,7 +334,7 @@ MachineSimulator::runInternal(const Function *f,
 
     while (true) {
         // Cooperative pause point: every dispatch boundary of the
-        // unchained engines, plus every block transition of the
+        // unchained path, plus every block transition of the
         // chained fast path below.
         {
             uint64_t pauseAt =
@@ -485,24 +474,19 @@ MachineSimulator::runInternal(const Function *f,
             ++executed_;
             if (limit_ && executed_ > limit_)
                 fatal("simulator instruction limit exceeded");
-            if (threaded) {
-                // Direct-threaded dispatch: resolve the handler
-                // once, then one indirect call per execution. Only
-                // next is re-armed — handlers write every consumer
-                // field of the Next value they request. The cache
-                // slot is a relaxed atomic: concurrent simulators
-                // racing here store the same deterministic handler.
-                ExecFn fn = mi.exec.load(std::memory_order_relaxed);
-                if (!fn) {
-                    fn = target.handlerFor(mi);
-                    mi.exec.store(fn, std::memory_order_relaxed);
-                }
-                state.next = SimState::Next::Fall;
-                fn(mi, state);
-            } else {
-                state.reset();
-                target.execute(mi, state);
+            // Direct-threaded dispatch: resolve the handler once,
+            // then one indirect call per execution. Only next is
+            // re-armed — handlers write every consumer field of the
+            // Next value they request. The cache slot is a relaxed
+            // atomic: concurrent simulators racing here store the
+            // same deterministic handler.
+            ExecFn fn = mi.exec.load(std::memory_order_relaxed);
+            if (!fn) {
+                fn = target.handlerFor(mi);
+                mi.exec.store(fn, std::memory_order_relaxed);
             }
+            state.next = SimState::Next::Fall;
+            fn(mi, state);
             mip = &mi;
         }
 

@@ -7,6 +7,10 @@
  * paper Section 5.2, with the hardware replaced by a functional
  * simulator so translated code actually runs and can be verified.
  *
+ * Dispatch is direct-threaded: each instruction's handler is
+ * resolved once and cached on it, and the live trace-tier body of a
+ * function runs as chained superblocks (code_manager.h).
+ *
  * Live-update support: every activation pins the CodeManager's
  * reclamation epoch for its duration (its call frames hold raw
  * MachineFunction pointers into bodies that a concurrent SMC
@@ -33,18 +37,6 @@ namespace llva {
 class MachineSimulator
 {
   public:
-    /** How the inner loop dispatches instructions. */
-    enum class Dispatch : uint8_t
-    {
-        /** The legacy engine: state.reset() + virtual execute()
-         *  opcode switch per instruction, names rehashed on every
-         *  profile event. Kept as the measurable baseline. */
-        Switch,
-        /** Direct-threaded handlers cached per instruction, plus
-         *  chained superblocks for trace-tier functions. */
-        Threaded,
-    };
-
     MachineSimulator(ExecutionContext &ctx, CodeManager &code)
         : ctx_(ctx), code_(code)
     {}
@@ -55,9 +47,6 @@ class MachineSimulator
     /** Run \p f to completion (JIT-translating on demand). */
     ExecResult run(const Function *f,
                    const std::vector<RtValue> &args = {});
-
-    void setDispatch(Dispatch d) { dispatch_ = d; }
-    Dispatch dispatch() const { return dispatch_; }
 
     /**
      * Sampled profiling: record every Nth block-entry event with
@@ -181,7 +170,6 @@ class MachineSimulator
     uint64_t interpreted_ = 0;
     uint64_t limit_ = 0;
     EdgeProfile *profile_ = nullptr;
-    Dispatch dispatch_ = Dispatch::Threaded;
     uint64_t sampleInterval_ = 1;
     uint64_t sampleCountdown_ = 1;
 

@@ -30,12 +30,6 @@ ExecutionContext::handlerFor(const std::string &name) const
     return it == handlers_.end() ? nullptr : &it->second;
 }
 
-void
-ExecutionContext::setHandler(const std::string &name, RuntimeHandler h)
-{
-    handlers_[name] = std::move(h);
-}
-
 uint64_t
 ExecutionContext::trapHandler(unsigned trap_number) const
 {

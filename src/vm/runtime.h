@@ -57,9 +57,6 @@ class ExecutionContext
     /** Resolve the handler for a declared function (or null). */
     const RuntimeHandler *handlerFor(const std::string &name) const;
 
-    /** Install/override a handler (tests and LLEE use this). */
-    void setHandler(const std::string &name, RuntimeHandler h);
-
     // --- OS support (paper Section 3.5) --------------------------------
 
     bool privileged() const { return privileged_; }

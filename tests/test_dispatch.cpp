@@ -1,20 +1,22 @@
 /**
  * @file
- * Threaded dispatch and superblock chaining tests: the direct-
- * threaded engine (with chained trace-tier superblocks) must be
- * observably identical to the legacy switch engine on every
- * workload, chains must link lazily and unlink on invalidate()/SMC
- * retirement, sampled profiling must estimate exact counts, and the
- * two bugfixes that rode along — trap-handler outcomes and exact
- * instruction budgets — get regression coverage. The operand-
+ * Simulator dispatch and superblock chaining tests: the simulator's
+ * runtime edge profile must count every block exactly as the
+ * interpreter does on every workload, chains must link lazily and
+ * unlink on invalidate()/SMC retirement, sampled profiling must
+ * estimate exact counts, and trap-handler outcomes and exact
+ * instruction budgets get regression coverage. The operand-
  * specialized handlers are checked shape by shape against the
- * generic handlers they replace.
+ * generic handlers they replace. (Values and output of every
+ * workload, target and tier are checked against the interpreter in
+ * test_differential.cpp.)
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
+#include <set>
 
 #include "bytecode/bytecode.h"
 #include "llee/envelope.h"
@@ -83,75 +85,72 @@ adaptiveOpts(uint64_t watermark = 500)
 
 LLEEResult
 runLLEE(const std::vector<uint8_t> &bc, const std::string &target,
-        CodeGenOptions opts, MachineSimulator::Dispatch dispatch,
-        uint64_t sampleInterval = 1)
+        CodeGenOptions opts, uint64_t sampleInterval)
 {
     LLEE llee(*getTarget(target), nullptr, opts);
-    llee.setDispatch(dispatch);
     llee.setProfileSampleInterval(sampleInterval);
     return llee.execute(bc);
 }
 
 } // namespace
 
-// --- Differential: threaded engine vs legacy switch engine -----------
+// --- Runtime profile vs the interpreter's ---------------------------
 
 class DispatchSuite : public ::testing::TestWithParam<std::string>
 {};
 
-TEST_P(DispatchSuite, ThreadedMatchesSwitchAtEveryTier)
+TEST_P(DispatchSuite, BlockCountsMatchTheInterpreter)
 {
+    // At -O0 every IR block survives translation under its own name,
+    // so with exact counting the simulator's block-entry profile
+    // (IDs hashed once at translation time) must equal the
+    // interpreter's (IDs hashed from the IR) count for count.
+    // Instruction selection splits each invoke's normal and unwind
+    // edges into blocks of their own; only those may appear on the
+    // simulator side alone.
     auto m = buildWorkload(GetParam(), 1);
     verifyOrDie(*m);
-    auto bc = writeBytecode(*m);
 
-    for (const std::string &target : targetNames()) {
-        for (uint8_t level : {0, 1, 2}) {
-            CodeGenOptions opts;
-            opts.optLevel = level;
-            LLEEResult sw = runLLEE(
-                bc, target, opts, MachineSimulator::Dispatch::Switch);
-            LLEEResult th = runLLEE(
-                bc, target, opts,
-                MachineSimulator::Dispatch::Threaded);
-            ASSERT_TRUE(sw.exec.ok() && th.exec.ok())
-                << target << " -O" << int(level);
-            EXPECT_EQ(th.exec.value.i, sw.exec.value.i)
-                << target << " -O" << int(level);
-            EXPECT_EQ(th.output, sw.output)
-                << target << " -O" << int(level);
-            // Dispatch strategy must not change what executes, only
-            // how fast: instruction-for-instruction identical.
-            EXPECT_EQ(th.machineInstructionsExecuted,
-                      sw.machineInstructionsExecuted)
-                << target << " -O" << int(level);
+    EdgeProfile ref;
+    {
+        ExecutionContext ctx(*m);
+        Interpreter interp(ctx);
+        interp.setProfile(&ref);
+        interp.setInstructionLimit(200000000);
+        ASSERT_TRUE(interp.run(m->getFunction("main")).ok());
+    }
+    ASSERT_FALSE(ref.empty());
+
+    std::set<BlockId> known;
+    for (const auto &f : m->functions()) {
+        for (const auto &bb : *f) {
+            known.insert(blockId(bb.get()));
+            for (const char *suffix : {".invret", ".invuw"})
+                known.insert({functionId(f->name()),
+                              fnv1a(bb->name() + suffix)});
         }
     }
-}
-
-TEST_P(DispatchSuite, ChainedTraceTierMatchesSwitchEngine)
-{
-    auto m = buildWorkload(GetParam(), 1);
-    verifyOrDie(*m);
-    auto bc = writeBytecode(*m);
 
     for (const std::string &target : targetNames()) {
-        LLEEResult sw =
-            runLLEE(bc, target, adaptiveOpts(200),
-                    MachineSimulator::Dispatch::Switch);
-        LLEEResult th =
-            runLLEE(bc, target, adaptiveOpts(200),
-                    MachineSimulator::Dispatch::Threaded);
-        ASSERT_TRUE(sw.exec.ok() && th.exec.ok()) << target;
-        EXPECT_EQ(th.exec.value.i, sw.exec.value.i) << target;
-        EXPECT_EQ(th.output, sw.output) << target;
-        EXPECT_EQ(th.machineInstructionsExecuted,
-                  sw.machineInstructionsExecuted)
-            << target;
-        // The cached-hash profile must count exactly what the
-        // rehash-per-event baseline counts, promoting identically.
-        EXPECT_EQ(th.profileSamples, sw.profileSamples) << target;
-        EXPECT_EQ(th.promotions, sw.promotions) << target;
+        CodeGenOptions opts;
+        opts.optLevel = 0;
+        ExecutionContext ctx(*m);
+        CodeManager cm(*getTarget(target), opts);
+        MachineSimulator sim(ctx, cm);
+        EdgeProfile profile;
+        sim.setProfile(&profile);
+        ASSERT_TRUE(sim.run(m->getFunction("main")).ok()) << target;
+
+        for (const auto &f : m->functions())
+            for (const auto &bb : *f)
+                EXPECT_EQ(profile.blockCount(bb.get()),
+                          ref.blockCount(bb.get()))
+                    << target << " " << f->name() << ":" << bb->name();
+        for (const auto &[id, count] : profile.blocks)
+            EXPECT_TRUE(known.count(id))
+                << target << ": block " << id.block << " of function "
+                << id.fn << " (" << count
+                << " entries) has no IR counterpart";
     }
 }
 
@@ -220,7 +219,7 @@ TEST(Chaining, SmcReplaceUnlinksTheRetiredChain)
     // llva.smc.replace.function from inside the program: the hot
     // callee is promoted (and chained), then replaced mid-run. The
     // retired chain must be unlinked, and the replacement visible
-    // to future calls — under both dispatch engines.
+    // to future calls.
     auto m = parseAssembly(R"(
 declare void %llva.smc.replace.function(ubyte* %t, ubyte* %r)
 internal int %work(int %n) {
@@ -259,26 +258,21 @@ swap:
 )").orDie();
     verifyOrDie(*m);
 
-    for (auto dispatch : {MachineSimulator::Dispatch::Threaded,
-                          MachineSimulator::Dispatch::Switch}) {
-        ExecutionContext ctx(*m);
-        CodeManager cm(*getTarget("x86"), adaptiveOpts());
-        EdgeProfile profile;
-        cm.setAdaptive(&profile, 500);
-        MachineSimulator sim(ctx, cm);
-        sim.setDispatch(dispatch);
-        sim.setProfile(&profile);
+    ExecutionContext ctx(*m);
+    CodeManager cm(*getTarget("x86"), adaptiveOpts());
+    EdgeProfile profile;
+    cm.setAdaptive(&profile, 500);
+    MachineSimulator sim(ctx, cm);
+    sim.setProfile(&profile);
 
-        auto r = sim.run(m->getFunction("main"));
-        ASSERT_TRUE(r.ok());
-        // Future invocations see the replacement...
-        EXPECT_EQ(static_cast<int64_t>(r.value.i), 7);
-        ASSERT_GE(cm.promotions(), 1u);
-        // ...and under the threaded engine the promoted body's
-        // chain was built, then severed by the SMC retirement.
-        if (dispatch == MachineSimulator::Dispatch::Threaded)
-            EXPECT_GE(cm.chainsUnlinked(), 1u);
-    }
+    auto r = sim.run(m->getFunction("main"));
+    ASSERT_TRUE(r.ok());
+    // Future invocations see the replacement...
+    EXPECT_EQ(static_cast<int64_t>(r.value.i), 7);
+    ASSERT_GE(cm.promotions(), 1u);
+    // ...and the promoted body's chain was built, then severed by
+    // the SMC retirement.
+    EXPECT_GE(cm.chainsUnlinked(), 1u);
 }
 
 // --- Sampled, decaying profiling -------------------------------------
@@ -289,15 +283,11 @@ TEST(SampledProfile, WeightedSamplesEstimateExactCounts)
     verifyOrDie(*m);
     auto bc = writeBytecode(*m);
 
-    LLEEResult exact =
-        runLLEE(bc, "x86", adaptiveOpts(),
-                MachineSimulator::Dispatch::Threaded, 1);
+    LLEEResult exact = runLLEE(bc, "x86", adaptiveOpts(), 1);
     ASSERT_TRUE(exact.exec.ok());
 
     constexpr uint64_t kInterval = 8;
-    LLEEResult sampled =
-        runLLEE(bc, "x86", adaptiveOpts(),
-                MachineSimulator::Dispatch::Threaded, kInterval);
+    LLEEResult sampled = runLLEE(bc, "x86", adaptiveOpts(), kInterval);
     ASSERT_TRUE(sampled.exec.ok());
 
     // Same observable execution...

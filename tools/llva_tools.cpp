@@ -67,7 +67,6 @@ usage()
   llva-run <input.bc>  [--target %s] [--cache DIR] [--interp]
                        [--entry NAME] [-O<0|1|2>] [-j N] [-stats]
                        [--adaptive] [--watermark N] [-print-traces]
-                       [--dispatch switch|threaded]
                        [--profile-sample N]
                        [--checkpoint FILE] [--restore FILE]
                        [--pause-at N]
@@ -101,10 +100,6 @@ usage()
   --watermark N promote a function once its profile accumulates N
                 block samples (default 5000; implies nothing
                 without --adaptive)
-  --dispatch switch|threaded
-                inner-loop dispatch of the simulated processor:
-                legacy switch, or direct-threaded handlers with
-                chained trace-tier superblocks (default)
   --profile-sample N
                 record every Nth profile event with weight N
                 (default 1 = exact counting)
@@ -128,6 +123,27 @@ usage()
 )",
                  targets.c_str(), targets.c_str());
     std::exit(2);
+}
+
+/**
+ * Take \p arg as the tool's one input path. Every tool's parser ends
+ * here, so an unrecognized option (a misspelling, a removed flag, or
+ * a flag missing its value) or a second path is a usage error rather
+ * than silently becoming the input.
+ */
+void
+acceptInput(std::string &input, const std::string &arg)
+{
+    const char *problem = nullptr;
+    if (!arg.empty() && arg[0] == '-')
+        problem = "unknown option";
+    else if (!input.empty())
+        problem = "unexpected argument";
+    if (problem) {
+        std::fprintf(stderr, "error: %s '%s'\n", problem, arg.c_str());
+        usage();
+    }
+    input = arg;
 }
 
 /** `--list-targets`: one registered target per line. */
@@ -207,7 +223,7 @@ toolAs(const std::vector<std::string> &args)
         if (args[i] == "-o" && i + 1 < args.size())
             output = args[++i];
         else
-            input = args[i];
+            acceptInput(input, args[i]);
     }
     if (input.empty() || output.empty())
         usage();
@@ -228,7 +244,7 @@ toolDis(const std::vector<std::string> &args)
         if (args[i] == "-o" && i + 1 < args.size())
             output = args[++i];
         else
-            input = args[i];
+            acceptInput(input, args[i]);
     }
     if (input.empty())
         usage();
@@ -262,7 +278,7 @@ toolOpt(const std::vector<std::string> &args)
             level = static_cast<unsigned>(
                 std::stoul(args[i].substr(2)));
         else
-            input = args[i];
+            acceptInput(input, args[i]);
     }
     if (input.empty() || output.empty())
         usage();
@@ -377,7 +393,6 @@ toolRun(const std::vector<std::string> &args)
     bool interp = false, printStats = false;
     CodeGenOptions opts;
     unsigned jobs = 1;
-    auto dispatch = MachineSimulator::Dispatch::Threaded;
     uint64_t sampleInterval = 1;
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--target" && i + 1 < args.size())
@@ -395,16 +410,8 @@ toolRun(const std::vector<std::string> &args)
         else if (args[i] == "--watermark" && i + 1 < args.size())
             opts.promoteWatermark =
                 std::strtoull(args[++i].c_str(), nullptr, 10);
-        else if (args[i] == "--dispatch" && i + 1 < args.size()) {
-            const std::string &d = args[++i];
-            if (d == "switch")
-                dispatch = MachineSimulator::Dispatch::Switch;
-            else if (d == "threaded")
-                dispatch = MachineSimulator::Dispatch::Threaded;
-            else
-                fatal("unknown dispatch '%s'", d.c_str());
-        } else if (args[i] == "--profile-sample" &&
-                   i + 1 < args.size())
+        else if (args[i] == "--profile-sample" &&
+                 i + 1 < args.size())
             sampleInterval =
                 std::strtoull(args[++i].c_str(), nullptr, 10);
         else if (args[i] == "--checkpoint" && i + 1 < args.size())
@@ -427,7 +434,7 @@ toolRun(const std::vector<std::string> &args)
             opts.optLevel = static_cast<uint8_t>(
                 std::stoul(args[i].substr(2)));
         else
-            input = args[i];
+            acceptInput(input, args[i]);
     }
     if (input.empty())
         usage();
@@ -462,7 +469,6 @@ toolRun(const std::vector<std::string> &args)
         storage = std::make_unique<FileStorage>(cache);
     LLEE llee(*t, storage.get(), opts);
     llee.setJobs(jobs);
-    llee.setDispatch(dispatch);
     llee.setProfileSampleInterval(sampleInterval);
     auto bytes = readFileBytes(input);
     if (!(bytes.size() >= 4 && bytes[0] == 'L'))
@@ -583,7 +589,7 @@ toolTranslate(const std::vector<std::string> &args)
             opts.optLevel = static_cast<uint8_t>(
                 std::stoul(args[i].substr(2)));
         else
-            input = args[i];
+            acceptInput(input, args[i]);
     }
     if (!verifyDir.empty())
         return verifyCache(verifyDir, repair);
